@@ -2,8 +2,8 @@
 
 The package is organised around a small stack:
 
-- ``linalg``: deterministic float64 kernels (matmul, row softmax, Frobenius
-  distance, seeded Gaussian draws).
+- ``linalg``: deterministic float64 kernels (matrix coercion, row softmax,
+  seeded Gaussian draws).
 - ``model``: the toy transformer denoiser whose per-module outputs can be
   served token-by-token from a cache.
 - ``cache``: caching scores, ratio/cycle schedules, token selection and the

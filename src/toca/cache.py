@@ -274,15 +274,18 @@ def apply_spatial_boost(
         raise ValueError("grid_size must be >= 1")
     if g > min(h, w):
         raise ValueError(f"grid_size {g} exceeds grid {grid}")
+    # Pad to whole cells with -inf; one row-major argmax per cell sends ties to
+    # the lowest flat index, and padding never precedes a cell's real top-left.
+    ch, cw = (h + g - 1) // g, (w + g - 1) // g
+    padded = np.full((ch * g, cw * g), -np.inf)
+    padded[:h, :w] = base.reshape(h, w)
+    cells = padded.reshape(ch, g, cw, g).swapaxes(1, 2).reshape(ch, cw, g * g)
+    rr, cc = np.divmod(cells.argmax(axis=2), g)
+    rr += np.arange(0, h, g)[:, None]
+    cc += np.arange(0, w, g)[None, :]
+    idx = (rr * w + cc).ravel()
     boosted = base.copy()
-    b2 = base.reshape(h, w)
-    for r0 in range(0, h, g):
-        for c0 in range(0, w, g):
-            cell = b2[r0 : r0 + g, c0 : c0 + g]
-            rel = int(np.argmax(cell))  # row-major, so first max = lowest flat index
-            rr, cc = divmod(rel, cell.shape[1])
-            idx = (r0 + rr) * w + (c0 + cc)
-            boosted[idx] = base[idx] * (1.0 + lam4)
+    boosted[idx] = base[idx] * (1.0 + lam4)
     return boosted
 
 

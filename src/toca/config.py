@@ -15,6 +15,7 @@ The TOCA_SEED environment variable overrides the config seed; an explicit
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, fields, replace
 
@@ -106,9 +107,12 @@ def default_config() -> RunConfig:
 def _get(parser, section, key, conv, what):
     raw = parser.get(section, key)
     try:
-        return conv(raw)
+        value = conv(raw)
     except ValueError as e:
         raise ConfigError(f"[{section}] {key}: expected {what}, got {raw!r}") from e
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: expected a finite number, got {raw!r}")
+    return value
 
 
 def _opt(raw: str):

@@ -224,10 +224,18 @@ def timestep_embedding(t: float, dim: int, scale: float = 1.0) -> np.ndarray:
 
 
 def layer_norm_rows(x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """Parameter-free layer norm over the feature axis."""
-    mu = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps)
+    """Parameter-free layer norm over the feature axis.
+
+    Bitwise ``(x - x.mean(1)) / sqrt(x.var(1) + eps)``, written into the
+    squared deviations instead of a third matrix.
+    """
+    d = x.shape[1]
+    centred = x - x.sum(axis=1, keepdims=True) / d
+    out = np.square(centred)
+    denom = out.sum(axis=1, keepdims=True) / d
+    denom += eps
+    np.sqrt(denom, out=denom)
+    return np.divide(centred, denom, out=out)
 
 
 def _maybe_rows(x: np.ndarray, rows) -> np.ndarray:
@@ -235,6 +243,38 @@ def _maybe_rows(x: np.ndarray, rows) -> np.ndarray:
         return x
     idx = np.asarray(rows, dtype=np.intp)
     return x[idx]
+
+
+def _attend(q, k, v, heads: int, counter: FlopCounter | None):
+    """Scaled dot-product attention of (m, d) queries against (n, d) keys/values.
+
+    Heads run one after another in one (m, n) logits buffer that each step
+    overwrites in place; stacking the heads into (H, m, n) temporaries was
+    measured slower. Returns the concatenated head outputs (m, d) and the
+    head-averaged attention map (m, n).
+    """
+    m, d = q.shape
+    n = k.shape[0]
+    if d % heads != 0:
+        raise ValueError(f"hidden size {d} not divisible by {heads} heads")
+    dh = d // heads
+    scale = 1.0 / math.sqrt(dh)
+    out_heads = np.empty((m, d))
+    attn_sum = np.zeros((m, n))
+    a = np.empty((m, n))
+    for h in range(heads):
+        sl = slice(h * dh, (h + 1) * dh)
+        np.matmul(q[:, sl], k[:, sl].T, out=a)
+        a *= scale
+        linalg.softmax_rows(a, out=a)
+        np.matmul(a, v[:, sl], out=out_heads[:, sl])
+        attn_sum += a
+        if counter is not None:
+            counter.matmul(m, dh, n)
+            counter.softmax(m * n)
+            counter.matmul(m, n, dh)
+    attn_sum /= heads
+    return out_heads, attn_sum
 
 
 def self_attention_forward(
@@ -253,9 +293,6 @@ def self_attention_forward(
     """
     x = linalg.as_matrix(x)
     n, d = x.shape
-    if d % heads != 0:
-        raise ValueError(f"hidden size {d} not divisible by {heads} heads")
-    dh = d // heads
     xq = _maybe_rows(x, rows)
     m = xq.shape[0]
 
@@ -267,24 +304,11 @@ def self_attention_forward(
         counter.matmul(n, d, d)
         counter.matmul(n, d, d)
 
-    scale = 1.0 / math.sqrt(dh)
-    out_heads = np.empty((m, d))
-    attn_sum = np.zeros((m, n))
-    for h in range(heads):
-        sl = slice(h * dh, (h + 1) * dh)
-        logits = (q[:, sl] @ k[:, sl].T) * scale
-        a = linalg.softmax_rows(logits)
-        out_heads[:, sl] = a @ v[:, sl]
-        attn_sum += a
-        if counter is not None:
-            counter.matmul(m, dh, n)
-            counter.softmax(m * n)
-            counter.matmul(m, n, dh)
-
+    out_heads, attn = _attend(q, k, v, heads, counter)
     out = out_heads @ weights.wo
     if counter is not None:
         counter.matmul(m, d, d)
-    return out, attn_sum / heads
+    return out, attn
 
 
 def cross_attention_forward(
@@ -306,9 +330,6 @@ def cross_attention_forward(
         raise ValueError("cross-attention needs at least one text token")
     if text.shape[1] != d:
         raise ValueError(f"text hidden size {text.shape[1]} != {d}")
-    if d % heads != 0:
-        raise ValueError(f"hidden size {d} not divisible by {heads} heads")
-    dh = d // heads
     xq = _maybe_rows(x, rows)
     m = xq.shape[0]
 
@@ -320,24 +341,11 @@ def cross_attention_forward(
         counter.matmul(n2, d, d)
         counter.matmul(n2, d, d)
 
-    scale = 1.0 / math.sqrt(dh)
-    out_heads = np.empty((m, d))
-    attn_sum = np.zeros((m, n2))
-    for h in range(heads):
-        sl = slice(h * dh, (h + 1) * dh)
-        logits = (q[:, sl] @ k[:, sl].T) * scale
-        a = linalg.softmax_rows(logits)
-        out_heads[:, sl] = a @ v[:, sl]
-        attn_sum += a
-        if counter is not None:
-            counter.matmul(m, dh, n2)
-            counter.softmax(m * n2)
-            counter.matmul(m, n2, dh)
-
+    out_heads, attn = _attend(q, k, v, heads, counter)
     out = out_heads @ weights.wo
     if counter is not None:
         counter.matmul(m, d, d)
-    return out, attn_sum / heads
+    return out, attn
 
 
 def mlp_forward(
@@ -352,8 +360,8 @@ def mlp_forward(
     m, d = xr.shape
     d2 = weights.w1.shape[1]
     h = xr @ weights.w1
-    act = np.maximum(h, 0.0)
-    out = act @ weights.w2
+    np.maximum(h, 0.0, out=h)
+    out = h @ weights.w2
     if counter is not None:
         counter.matmul(m, d, d2)
         counter.activation(m * d2)
@@ -508,7 +516,8 @@ class Model:
                     attns = [a for _, a in pairs]
                 for h in range(len(xs)):
                     records[h].append(LayerRecord(layer, kind, outs[h], attns[h]))
-                streams = [s + o for s, o in zip(streams, outs)]
+                for s, o in zip(streams, outs):
+                    s += o
 
         maybe_inject(cfg.depth, KIND_FINAL)
         fns = [self._module_fns(cfg.depth, KIND_FINAL, c) for c in conds]
@@ -563,15 +572,17 @@ def save_weights(model: Model, path) -> None:
     Arrays follow the init order (groups then the final projection), each
     flattened row-major. Values are truncated from f64 to f32.
     """
+    from .artifacts import atomic_write_bytes  # artifacts imports this module
+
     cfg = model.config
     header = (
         f"{WEIGHTS_MAGIC} {cfg.depth} {cfg.hidden} {cfg.heads} "
         f"{cfg.grid_h} {cfg.grid_w} {cfg.text_tokens}\n"
     )
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        for arr in model.weight_arrays():
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    payload = b"".join(
+        np.ascontiguousarray(arr, dtype="<f4").tobytes() for arr in model.weight_arrays()
+    )
+    atomic_write_bytes(path, header.encode("ascii") + payload)
 
 
 def load_weights(path) -> Model:

@@ -261,6 +261,41 @@ def test_boost_ragged_grid_cells():
     assert np.flatnonzero(out != base).size == 4
 
 
+def _boost_loop(base, grid, g, lam4):
+    """Cell-by-cell reference for apply_spatial_boost."""
+    h, w = grid
+    boosted = base.copy()
+    b2 = base.reshape(h, w)
+    for r0 in range(0, h, g):
+        for c0 in range(0, w, g):
+            cell = b2[r0 : r0 + g, c0 : c0 + g]
+            rel = int(np.argmax(cell))  # row-major, so first max = lowest flat index
+            rr, cc = divmod(rel, cell.shape[1])
+            idx = (r0 + rr) * w + (c0 + cc)
+            boosted[idx] = base[idx] * (1.0 + lam4)
+    return boosted
+
+
+def test_boost_matches_cell_loop():
+    # every grid up to 7x7 and every cell size from G = 1 to G = min(h, w),
+    # so ragged right/bottom cells appear; integer scores in {-2, -1, 0} make
+    # most cells tie, and ties must still go to the lowest flat index; cells
+    # that are all -inf tie with the padding, which must never win
+    rng = np.random.default_rng(11)
+    for h in range(1, 8):
+        for w in range(1, 8):
+            for g in range(1, min(h, w) + 1):
+                n = h * w
+                for base in (
+                    rng.normal(size=n),
+                    rng.integers(-2, 1, n) * 1.0,
+                    np.where(rng.random(n) < 0.7, -np.inf, 1.0),
+                ):
+                    lam4 = rng.uniform(0.0, 2.0)
+                    out = apply_spatial_boost(base, (h, w), g, lam4)
+                    assert np.array_equal(out, _boost_loop(base, (h, w), g, lam4)), (h, w, g)
+
+
 def test_boost_rejects_oversized_cells():
     with pytest.raises(ValueError):
         apply_spatial_boost(np.ones(4), (2, 2), 3, 1.0)

@@ -161,6 +161,24 @@ def test_bad_config_exits_two(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+NON_FINITE = {
+    "guidance": SMALL.replace("seed = 3\n", "seed = 3\nguidance = nan\n"),
+    "center": SMALL + "\n[cache]\nprofile = toca-dit\ncenter = nan\n",
+    "lam1": SMALL + "\n[cache]\nprofile = toca-dit\nlam1 = nan\n",
+}
+
+
+@pytest.mark.parametrize("key", sorted(NON_FINITE))
+def test_non_finite_number_exits_two(tmp_path, capsys, key):
+    # parsing must catch these: at run time a NaN guidance gives a NaN x0.bin,
+    # a NaN center fails mid-run and a NaN lam1 scrambles the token selection
+    cfg = _write_cfg(tmp_path, NON_FINITE[key])
+    out = tmp_path / "out"
+    assert cli.main(["sample", "-c", cfg, "--out", out.as_posix()]) == 2
+    assert f"{key}: expected a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_file_exits_two(tmp_path):
     assert cli.main(["sample", "-c", (tmp_path / "nope.ini").as_posix()]) == 2
 

@@ -61,6 +61,9 @@ def test_malformed_values_rejected():
         parse_config_string("[sampler]\nsteps = 0\n")
     with pytest.raises(ConfigError):
         parse_config_string("[cache]\ntype_mode = sideways\n")
+    for text in ("[model]\ntime_scale = inf\n", "[cache]\nlam2 = inf\n"):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config_string(text)
 
 
 def test_model_section_validated():

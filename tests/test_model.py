@@ -6,6 +6,7 @@ from toca.model import (
     KIND_FINAL,
     KIND_MLP,
     KIND_SELF,
+    CrossAttnWeights,
     MlpWeights,
     SelfAttnWeights,
     layer_norm_rows,
@@ -75,6 +76,15 @@ def test_layer_norm_rows_centers_and_scales():
     assert np.allclose(out.mean(axis=1), 0.0, atol=1e-12)
 
 
+def test_layer_norm_rows_matches_mean_var_formula():
+    rng = np.random.default_rng(12)
+    for shape in ((1, 1), (4, 3), (9, 32), (64, 128)):
+        x = rng.normal(loc=3.0, scale=5.0, size=shape)
+        x[0] = x[0, 0]  # a constant row: zero variance
+        ref = (x - x.mean(axis=1, keepdims=True)) / np.sqrt(x.var(axis=1, keepdims=True) + 1e-6)
+        assert np.array_equal(layer_norm_rows(x), ref)
+
+
 def test_mlp_linear_region_oracle():
     # positive weights and input keep ReLU in its linear region:
     # out = x * sum_k w1[0,k] * w2[k,0] = 4 * x * 0.5 * 0.25
@@ -132,11 +142,50 @@ def test_self_attention_partial_rows_match_full():
     assert np.array_equal(part_attn, full_attn[rows])
 
 
+def _softmax_ref(m):
+    shifted = m - m.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _attention_ref(x, kv, w, heads, rows):
+    """Per-head loop with a fresh matrix at every step: the reference kernel."""
+    xq = x if rows is None else x[rows]
+    q, k, v = xq @ w.wq, kv @ w.wk, kv @ w.wv
+    m, d = q.shape
+    dh = d // heads
+    out_heads = np.empty((m, d))
+    attn_sum = np.zeros((m, kv.shape[0]))
+    for h in range(heads):
+        sl = slice(h * dh, (h + 1) * dh)
+        a = _softmax_ref((q[:, sl] @ k[:, sl].T) * (1.0 / np.sqrt(dh)))
+        out_heads[:, sl] = a @ v[:, sl]
+        attn_sum += a
+    return out_heads @ w.wo, attn_sum / heads
+
+
+@pytest.mark.parametrize("kind", ["self", "cross"])
+@pytest.mark.parametrize("rows", [None, [0, 2, 3, 9, 12], [7]], ids=["full", "rows", "one"])
+def test_attention_matches_reference_loop(kind, rows):
+    rng = np.random.default_rng(13)
+    d, heads = 24, 4
+    x = rng.normal(size=(13, d))
+    if kind == "self":
+        w = SelfAttnWeights(*(rng.normal(size=(d, d)) for _ in range(4)))
+        out, attn = self_attention_forward(x, w, heads, rows=rows)
+        kv = x
+    else:
+        w = CrossAttnWeights(*(rng.normal(size=(d, d)) for _ in range(4)))
+        kv = rng.normal(size=(5, d))
+        out, attn = cross_attention_forward(x, kv, w, heads, rows=rows)
+    ref_out, ref_attn = _attention_ref(x, kv, w, heads, None if rows is None else np.array(rows))
+    assert np.array_equal(out, ref_out)
+    assert np.array_equal(attn, ref_attn)
+
+
 def test_cross_attention_needs_text():
     rng = np.random.default_rng(4)
     d = 4
-    from toca.model import CrossAttnWeights
-
     w = CrossAttnWeights(*(rng.normal(size=(d, d)) for _ in range(4)))
     x = rng.normal(size=(3, d))
     with pytest.raises(ValueError):
@@ -258,11 +307,22 @@ def test_class_conditioning_enters_input_stream():
     assert np.allclose(eps.values, cond.class_embedding[None, :])
 
 
-def test_weights_roundtrip(tmp_path):
+def test_weights_roundtrip(tmp_path, monkeypatch):
+    import toca.artifacts
+
+    atomic_paths = []
+    real_write = toca.artifacts.atomic_write_bytes
+
+    def spy(path, data):
+        atomic_paths.append(path)
+        real_write(path, data)
+
+    monkeypatch.setattr(toca.artifacts, "atomic_write_bytes", spy)
     c = cfg(text_tokens=3)
     model = init_model(c, seed=11)
     path = tmp_path / "m.bin"
     save_weights(model, path)
+    assert atomic_paths == [path]
     loaded = load_weights(path)
     assert loaded.config == c
     for wa, wb in zip(model.weight_arrays(), loaded.weight_arrays()):
@@ -271,6 +331,8 @@ def test_weights_roundtrip(tmp_path):
     path2 = tmp_path / "m2.bin"
     save_weights(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+    # written through a temp file and rename, which leaves nothing else behind
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.bin", "m2.bin"]
 
 
 def test_weights_rejects_garbage(tmp_path):
