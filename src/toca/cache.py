@@ -341,21 +341,22 @@ def select_compute_set(scores, r_eff: float, cfg_coupled: bool = False) -> Compu
     return ComputeMask(compute_idx=compute_idx, cache_idx=cache_idx, gamma=gamma)
 
 
-def cached_layer_apply(rows_fn, x: np.ndarray, mask: ComputeMask, slot_values: np.ndarray):
+def cached_layer_apply(fn, x: np.ndarray, mask: ComputeMask, slot_values: np.ndarray):
     """Splice freshly computed rows into the cached module output.
 
-    rows_fn(x, rows) evaluates the module for the given query rows against the
-    full input stream. Returns (output, fresh_rows, fresh_attn); fresh_rows is
-    None when the mask computes nothing.
+    fn(x, rows) evaluates the module for the given query rows against the
+    full input stream and returns (rows_out, map or None); the map is dropped.
+    Returns (output, fresh_rows); fresh_rows is None when the mask computes
+    nothing.
     """
     if slot_values is None:
         raise RuntimeError("cache slot is empty; a fresh step must run first")
     out = slot_values.copy()
     if mask.n_computed == 0:
-        return out, None, None
-    fresh, attn = rows_fn(x, mask.compute_idx)
+        return out, None
+    fresh = fn(x, mask.compute_idx)[0]
     out[mask.compute_idx] = fresh
-    return out, fresh, attn
+    return out, fresh
 
 
 def cache_update(
@@ -449,25 +450,23 @@ class CacheContext:
         if self.mask_log is not None:
             self.mask_log.append((self.step, layer, kind, per_half))
 
-    def _dispatch_full(self, layer, kind, xs, full_fns, r_eff):
+    def _dispatch_full(self, layer, kind, xs, fns, r_eff):
         n = self.config.n_tokens
         key = (layer, kind)
-        outs, attns = [], []
+        outs = []
         for h in range(self.batch):
-            out, attn = full_fns[h](xs[h])
+            out, attn = fns[h](xs[h])
             store = self.stores[h]
             store.values[key] = out.copy()
             store.counters[key] = np.zeros(n, dtype=np.int64)
-            if attn is not None and attn.shape[0] == n and kind != KIND_FINAL:
-                if kind == KIND_SELF:
-                    store.attn_influence[layer] = attn.sum(axis=0)
-                elif kind == KIND_CROSS:
-                    store.cross_entropy[layer] = score_s2(attn)
+            if kind == KIND_SELF:
+                store.attn_influence[layer] = attn.sum(axis=0)
+            elif kind == KIND_CROSS:
+                store.cross_entropy[layer] = score_s2(attn)
             outs.append(out)
-            attns.append(attn)
         self.events.append(DispatchEvent(self.step, layer, kind, r_eff, n, 0))
         self._log_masks(layer, kind, [np.arange(n)] * self.batch)
-        return outs, attns
+        return outs
 
     def _base_scores(self, layer: int, kind: str, half: int) -> np.ndarray:
         sched = self.schedule
@@ -486,23 +485,25 @@ class CacheContext:
             base = base + sched.lam3 * score_s3(store.counters[key], self.current_cycle_len)
         return base
 
-    def dispatch(self, layer: int, kind: str, xs: list, full_fns: list, rows_fns: list):
+    def dispatch(self, layer: int, kind: str, xs: list, fns: list) -> list:
         """Serve one (layer, module kind) application for every batch half.
 
-        Fresh steps compute everything and refill the cache. Other steps pick
-        a compute set per the schedule, splice cached rows with fresh ones and
-        update the cache. Returns (outputs, attention maps); a map is present
-        only when the module was fully computed this dispatch.
+        fns[h](x, rows=None) runs the module for half h on all tokens, or on
+        the given query rows, and returns (output, attention map or None).
+        Fresh steps compute everything, refill the cache and update the score
+        aggregates from the maps. Other steps pick a compute set per the
+        schedule, splice cached rows with fresh ones and update the cache.
+        Returns the per-half outputs.
         """
         if self.step is None:
             raise RuntimeError("begin_step must be called before dispatch")
-        if not (len(xs) == len(full_fns) == len(rows_fns) == self.batch):
+        if not (len(xs) == len(fns) == self.batch):
             raise ValueError("dispatch inputs do not match the context batch")
         n = self.config.n_tokens
         key = (layer, kind)
 
         if self.is_fresh_step:
-            return self._dispatch_full(layer, kind, xs, full_fns, r_eff=0.0)
+            return self._dispatch_full(layer, kind, xs, fns, r_eff=0.0)
 
         r_eff = effective_cache_ratio(
             layer, self.step, kind, self.schedule, self.config.depth,
@@ -511,7 +512,7 @@ class CacheContext:
         n_cache = cache_token_count(r_eff, n)
         if n_cache == 0:
             # nothing cached this dispatch: identical to the uncached path
-            return self._dispatch_full(layer, kind, xs, full_fns, r_eff)
+            return self._dispatch_full(layer, kind, xs, fns, r_eff)
 
         for store in self.stores:
             if key not in store.values:
@@ -526,7 +527,7 @@ class CacheContext:
                 self.cache_counts[h] += 1
             self.events.append(DispatchEvent(self.step, layer, kind, r_eff, 0, n))
             self._log_masks(layer, kind, [np.arange(0)] * self.batch)
-            return outs, [None] * self.batch
+            return outs
 
         scores = [
             apply_spatial_boost(
@@ -547,7 +548,7 @@ class CacheContext:
         for h in range(self.batch):
             store = self.stores[h]
             mask = masks[h]
-            out, fresh, _ = cached_layer_apply(rows_fns[h], xs[h], mask, store.values[key])
+            out, fresh = cached_layer_apply(fns[h], xs[h], mask, store.values[key])
             cache_update(store.values[key], store.counters[key], mask, fresh)
             self.cache_counts[h][mask.cache_idx] += 1
             outs.append(out)
@@ -555,4 +556,4 @@ class CacheContext:
             DispatchEvent(self.step, layer, kind, r_eff, masks[0].n_computed, masks[0].n_cached)
         )
         self._log_masks(layer, kind, [m.compute_idx for m in masks])
-        return outs, [None] * self.batch
+        return outs

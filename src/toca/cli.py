@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .config import (
     run_config_hash,
 )
 from .flops import estimate_run_flops, verify_closed_forms
-from .model import Conditioning, FeatureMatrix, init_model, load_weights
+from .model import Conditioning, FeatureMatrix, Model, init_model, load_weights
 from .sampler import NoiseSchedule, run_generation
 
 _QUANTS = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -89,12 +90,13 @@ def _build_model(rc: RunConfig):
             model = load_weights(rc.weights)
         except (OSError, ValueError) as e:
             raise ConfigError(f"weights {rc.weights}: {e}") from e
-        if model.config != rc.model:
+        # TOCA-W1 stores shapes only; time_scale comes from the config
+        if replace(model.config, time_scale=rc.model.time_scale) != rc.model:
             raise ConfigError(
                 "weights file disagrees with the [model] section; "
                 "set the section to the file's dimensions"
             )
-        return model
+        return Model(rc.model, model.groups, model.out_proj)
     return init_model(rc.model, seed=rc.init_seed)
 
 

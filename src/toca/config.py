@@ -5,8 +5,9 @@ per-field overrides, analysis settings, and an output directory. Parsing is
 strict: unknown sections or keys are rejected, values are validated before
 anything runs, and the effective settings hash to a 12-hex provenance id
 stamped on every artifact. The hash covers everything except the output
-directory, and a schedule that cannot cache (ratio 0) hashes identically to
-the caching-off profile, however it was spelled.
+directory, including the sha256 of a weights file's contents (not its path),
+and a schedule that cannot cache (ratio 0) hashes identically to the
+caching-off profile, however it was spelled.
 
 The TOCA_SEED environment variable overrides the config seed; an explicit
 --seed on the command line beats both.
@@ -15,6 +16,7 @@ The TOCA_SEED environment variable overrides the config seed; an explicit
 from __future__ import annotations
 
 import configparser
+import hashlib
 import math
 import os
 from dataclasses import dataclass, fields, replace
@@ -113,6 +115,13 @@ def _get(parser, section, key, conv, what):
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"[{section}] {key}: expected a finite number, got {raw!r}")
     return value
+
+
+def _check_grid_size(rc: RunConfig) -> None:
+    """A caching schedule's boost cells must fit inside the token grid."""
+    g, m = rc.cache.grid_size, rc.model
+    if not rc.cache.is_noop and g > min(m.grid_h, m.grid_w):
+        raise ConfigError(f"[cache] grid_size {g} exceeds the {m.grid_h}x{m.grid_w} grid")
 
 
 def _opt(raw: str):
@@ -228,6 +237,7 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
     except ValueError as e:
         raise ConfigError(f"[cache] {e}") from e
     rc.cache = sched
+    _check_grid_size(rc)
 
     if parser.has_section("analyze"):
         if parser.has_option("analyze", "layer"):
@@ -285,6 +295,7 @@ def load_config(
             raise ConfigError(f"profile must be one of {PROFILE_NAMES}")
         rc.profile = profile
         rc.cache = CacheSchedule() if profile == "custom" else replace(PROFILES[profile])
+        _check_grid_size(rc)
     env_seed = os.environ.get("TOCA_SEED")
     if env_seed is not None:
         try:
@@ -345,9 +356,10 @@ def canonical_items(rc: RunConfig) -> dict[str, str]:
     """Flat mapping of the settings that define a run's outputs.
 
     The output directory is excluded (where files land does not change what
-    they hold). Noop cache schedules normalize to the off profile so caching
-    spelled as ratio = 0 hashes like caching turned off, and the profile name
-    itself never enters: only resolved field values do.
+    they hold), and a weights file enters by the sha256 of its bytes. Noop
+    cache schedules normalize to the off profile so caching spelled as
+    ratio = 0 hashes like caching turned off, and the profile name itself
+    never enters: only resolved field values do.
     """
     m = rc.model
     cache = CacheSchedule() if rc.cache.is_noop else rc.cache
@@ -360,7 +372,7 @@ def canonical_items(rc: RunConfig) -> dict[str, str]:
         "model.text_tokens": str(m.text_tokens),
         "model.time_scale": repr(m.time_scale),
         "model.init_seed": str(rc.init_seed),
-        "model.weights": str(rc.weights),
+        "model.weights": _weights_digest(rc.weights),
         "sampler.steps": str(rc.steps),
         "sampler.kind": rc.sampler,
         "sampler.guidance": repr(rc.guidance),
@@ -377,6 +389,16 @@ def canonical_items(rc: RunConfig) -> dict[str, str]:
     for f in fields(CacheSchedule):
         items[f"cache.{f.name}"] = repr(getattr(cache, f.name))
     return items
+
+
+def _weights_digest(path: str | None) -> str:
+    if path is None:
+        return "None"
+    try:
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+    except OSError as e:
+        raise ConfigError(f"[model] weights {path}: {e}") from e
 
 
 def run_config_hash(rc: RunConfig) -> str:

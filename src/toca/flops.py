@@ -204,26 +204,17 @@ def verify_closed_forms(n_tokens: int, hidden: int, heads: int, n_text: int = 0,
 
     results: dict[str, bool] = {}
 
-    sa = model.SelfAttnWeights(
-        wq=rng.standard_normal((hidden, hidden)) * scale,
-        wk=rng.standard_normal((hidden, hidden)) * scale,
-        wv=rng.standard_normal((hidden, hidden)) * scale,
-        wo=rng.standard_normal((hidden, hidden)) * scale,
-    )
+    def attn_weights():
+        return model.AttnWeights(*(rng.standard_normal((hidden, hidden)) * scale for _ in range(4)))
+
     counter = FlopCounter()
-    model.self_attention_forward(x, sa, heads, counter=counter)
+    model.self_attention_forward(x, attn_weights(), heads, counter=counter)
     results["self_attn"] = counter.flops == flops_self_attention(n_tokens, hidden, heads)
 
     if n_text > 0:
         text = linalg.gaussian((n_text, hidden), 1.0, np.random.SeedSequence((seed, 13)))
-        ca = model.CrossAttnWeights(
-            wq=rng.standard_normal((hidden, hidden)) * scale,
-            wk=rng.standard_normal((hidden, hidden)) * scale,
-            wv=rng.standard_normal((hidden, hidden)) * scale,
-            wo=rng.standard_normal((hidden, hidden)) * scale,
-        )
         counter = FlopCounter()
-        model.cross_attention_forward(x, text, ca, heads, counter=counter)
+        model.cross_attention_forward(x, text, attn_weights(), heads, counter=counter)
         results["cross_attn"] = counter.flops == flops_cross_attention(
             n_tokens, n_text, hidden, heads
         )

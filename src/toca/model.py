@@ -14,6 +14,7 @@ timestep embedding.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -152,7 +153,6 @@ class LayerRecord:
     layer: int
     kind: str
     output: np.ndarray
-    attention: np.ndarray | None  # full row-stochastic map, None if not fully computed
 
 
 @dataclass(frozen=True)
@@ -166,18 +166,9 @@ class Injection:
 
 
 @dataclass
-class SelfAttnWeights:
-    wq: np.ndarray
-    wk: np.ndarray
-    wv: np.ndarray
-    wo: np.ndarray
+class AttnWeights:
+    """Query, key, value and output projections of one attention module."""
 
-    def arrays(self) -> list[np.ndarray]:
-        return [self.wq, self.wk, self.wv, self.wo]
-
-
-@dataclass
-class CrossAttnWeights:
     wq: np.ndarray
     wk: np.ndarray
     wv: np.ndarray
@@ -198,8 +189,8 @@ class MlpWeights:
 
 @dataclass
 class GroupWeights:
-    self_attn: SelfAttnWeights
-    cross_attn: CrossAttnWeights | None
+    self_attn: AttnWeights
+    cross_attn: AttnWeights | None
     mlp: MlpWeights
 
     def arrays(self) -> list[np.ndarray]:
@@ -245,18 +236,27 @@ def _maybe_rows(x: np.ndarray, rows) -> np.ndarray:
     return x[idx]
 
 
-def _attend(q, k, v, heads: int, counter: FlopCounter | None):
-    """Scaled dot-product attention of (m, d) queries against (n, d) keys/values.
+def _attend(xq, kv, weights: AttnWeights, heads: int, counter: FlopCounter | None):
+    """Multi-head attention of (m, d) query rows against (n, d) key/value rows.
 
-    Heads run one after another in one (m, n) logits buffer that each step
-    overwrites in place; stacking the heads into (H, m, n) temporaries was
-    measured slower. Returns the concatenated head outputs (m, d) and the
-    head-averaged attention map (m, n).
+    Projects queries from ``xq`` and keys/values from ``kv``. Heads run one
+    after another in one (m, n) logits buffer that each step overwrites in
+    place; stacking the heads into (H, m, n) temporaries was measured slower.
+    Returns the projected output (m, d) and the head-averaged attention map
+    (m, n).
     """
-    m, d = q.shape
-    n = k.shape[0]
+    m, d = xq.shape
+    n = kv.shape[0]
     if d % heads != 0:
         raise ValueError(f"hidden size {d} not divisible by {heads} heads")
+    q = xq @ weights.wq
+    k = kv @ weights.wk
+    v = kv @ weights.wv
+    if counter is not None:
+        counter.matmul(m, d, d)
+        counter.matmul(n, d, d)
+        counter.matmul(n, d, d)
+
     dh = d // heads
     scale = 1.0 / math.sqrt(dh)
     out_heads = np.empty((m, d))
@@ -274,12 +274,16 @@ def _attend(q, k, v, heads: int, counter: FlopCounter | None):
             counter.softmax(m * n)
             counter.matmul(m, n, dh)
     attn_sum /= heads
-    return out_heads, attn_sum
+
+    out = out_heads @ weights.wo
+    if counter is not None:
+        counter.matmul(m, d, d)
+    return out, attn_sum
 
 
 def self_attention_forward(
     x,
-    weights: SelfAttnWeights,
+    weights: AttnWeights,
     heads: int,
     rows=None,
     counter: FlopCounter | None = None,
@@ -292,29 +296,13 @@ def self_attention_forward(
     with the head-averaged attention map (rows = queries, columns = tokens).
     """
     x = linalg.as_matrix(x)
-    n, d = x.shape
-    xq = _maybe_rows(x, rows)
-    m = xq.shape[0]
-
-    q = xq @ weights.wq
-    k = x @ weights.wk
-    v = x @ weights.wv
-    if counter is not None:
-        counter.matmul(m, d, d)
-        counter.matmul(n, d, d)
-        counter.matmul(n, d, d)
-
-    out_heads, attn = _attend(q, k, v, heads, counter)
-    out = out_heads @ weights.wo
-    if counter is not None:
-        counter.matmul(m, d, d)
-    return out, attn
+    return _attend(_maybe_rows(x, rows), x, weights, heads, counter)
 
 
 def cross_attention_forward(
     x,
     text,
-    weights: CrossAttnWeights,
+    weights: AttnWeights,
     heads: int,
     rows=None,
     counter: FlopCounter | None = None,
@@ -324,28 +312,11 @@ def cross_attention_forward(
     if text is None:
         raise ValueError("cross-attention needs text tokens")
     text = linalg.as_matrix(text)
-    n, d = x.shape
-    n2 = text.shape[0]
-    if n2 < 1:
+    if text.shape[0] < 1:
         raise ValueError("cross-attention needs at least one text token")
-    if text.shape[1] != d:
-        raise ValueError(f"text hidden size {text.shape[1]} != {d}")
-    xq = _maybe_rows(x, rows)
-    m = xq.shape[0]
-
-    q = xq @ weights.wq
-    k = text @ weights.wk
-    v = text @ weights.wv
-    if counter is not None:
-        counter.matmul(m, d, d)
-        counter.matmul(n2, d, d)
-        counter.matmul(n2, d, d)
-
-    out_heads, attn = _attend(q, k, v, heads, counter)
-    out = out_heads @ weights.wo
-    if counter is not None:
-        counter.matmul(m, d, d)
-    return out, attn
+    if text.shape[1] != x.shape[1]:
+        raise ValueError(f"text hidden size {text.shape[1]} != {x.shape[1]}")
+    return _attend(_maybe_rows(x, rows), text, weights, heads, counter)
 
 
 def mlp_forward(
@@ -405,47 +376,23 @@ class Model:
             stream = stream + cond.class_embedding[None, :]
         return stream
 
-    def _module_fns(self, layer: int, kind: str, cond: Conditioning):
-        cfg = self.config
+    def _apply(self, layer: int, kind: str, cond: Conditioning, h, rows=None):
+        """One module on the (normed) stream h: (output, attention map or None).
+
+        ``rows`` computes only those query rows against the full stream; the
+        cache engine passes them at partial dispatches.
+        """
+        heads = self.config.heads
         if kind == KIND_SELF:
-            w = self.groups[layer].self_attn
-
-            def full(h, w=w):
-                return self_attention_forward(h, w, cfg.heads)
-
-            def part(h, rows, w=w):
-                return self_attention_forward(h, w, cfg.heads, rows=rows)
-
-        elif kind == KIND_CROSS:
+            return self_attention_forward(h, self.groups[layer].self_attn, heads, rows=rows)
+        if kind == KIND_CROSS:
             w = self.groups[layer].cross_attn
-            text = cond.text
-
-            def full(h, w=w, text=text):
-                return cross_attention_forward(h, text, w, cfg.heads)
-
-            def part(h, rows, w=w, text=text):
-                return cross_attention_forward(h, text, w, cfg.heads, rows=rows)
-
-        elif kind == KIND_MLP:
-            w = self.groups[layer].mlp
-
-            def full(h, w=w):
-                return mlp_forward(h, w), None
-
-            def part(h, rows, w=w):
-                return mlp_forward(h, w, rows=rows), None
-
-        elif kind == KIND_FINAL:
-
-            def full(h):
-                return h @ self.out_proj, None
-
-            def part(h, rows):
-                return h[np.asarray(rows, dtype=np.intp)] @ self.out_proj, None
-
-        else:
-            raise ValueError(f"unknown module kind {kind!r}")
-        return full, part
+            return cross_attention_forward(h, cond.text, w, heads, rows=rows)
+        if kind == KIND_MLP:
+            return mlp_forward(h, self.groups[layer].mlp, rows=rows), None
+        if kind == KIND_FINAL:
+            return _maybe_rows(h, rows) @ self.out_proj, None
+        raise ValueError(f"unknown module kind {kind!r}")
 
     def _check_injection(self, inject: Injection) -> None:
         cfg = self.config
@@ -501,33 +448,22 @@ class Model:
                     inject.delta, dtype=np.float64
                 )
 
+        def run(layer, kind, hs):
+            fns = [functools.partial(self._apply, layer, kind, c) for c in conds]
+            if cache_ctx is not None:
+                return cache_ctx.dispatch(layer, kind, hs, fns)
+            return [fn(h)[0] for fn, h in zip(fns, hs)]
+
         for layer in range(cfg.depth):
             for kind in cfg.group_kinds:
                 maybe_inject(layer, kind)
-                normed = [layer_norm_rows(s) for s in streams]
-                fns = [self._module_fns(layer, kind, c) for c in conds]
-                fulls = [f for f, _ in fns]
-                parts = [p for _, p in fns]
-                if cache_ctx is not None:
-                    outs, attns = cache_ctx.dispatch(layer, kind, normed, fulls, parts)
-                else:
-                    pairs = [fulls[h](normed[h]) for h in range(len(xs))]
-                    outs = [o for o, _ in pairs]
-                    attns = [a for _, a in pairs]
-                for h in range(len(xs)):
-                    records[h].append(LayerRecord(layer, kind, outs[h], attns[h]))
-                for s, o in zip(streams, outs):
+                outs = run(layer, kind, [layer_norm_rows(s) for s in streams])
+                for rec, s, o in zip(records, streams, outs):
+                    rec.append(LayerRecord(layer, kind, o))
                     s += o
 
         maybe_inject(cfg.depth, KIND_FINAL)
-        fns = [self._module_fns(cfg.depth, KIND_FINAL, c) for c in conds]
-        fulls = [f for f, _ in fns]
-        parts = [p for _, p in fns]
-        if cache_ctx is not None:
-            outs, _ = cache_ctx.dispatch(cfg.depth, KIND_FINAL, streams, fulls, parts)
-        else:
-            outs = [fulls[h](streams[h])[0] for h in range(len(xs))]
-
+        outs = run(cfg.depth, KIND_FINAL, streams)
         return [
             (FeatureMatrix(outs[h], cfg.grid), records[h]) for h in range(len(xs))
         ]
@@ -552,10 +488,10 @@ def init_model(config: ModelConfig, seed: int, zero_init: bool = False) -> Model
 
     groups = []
     for _ in range(config.depth):
-        sa = SelfAttnWeights(draw(d, d, d), draw(d, d, d), draw(d, d, d), draw(d, d, d))
+        sa = AttnWeights(draw(d, d, d), draw(d, d, d), draw(d, d, d), draw(d, d, d))
         ca = None
         if config.text_tokens > 0:
-            ca = CrossAttnWeights(draw(d, d, d), draw(d, d, d), draw(d, d, d), draw(d, d, d))
+            ca = AttnWeights(draw(d, d, d), draw(d, d, d), draw(d, d, d), draw(d, d, d))
         mlp = MlpWeights(draw(d, 4 * d, d), draw(4 * d, d, 4 * d))
         groups.append(GroupWeights(sa, ca, mlp))
 

@@ -8,7 +8,6 @@ shared cache context. Per-step noise is drawn from a stream keyed by
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,7 +131,6 @@ class RunStats:
     cache_counts: np.ndarray | None = None
     eps_history: list[np.ndarray] | None = None
     mask_log: list | None = None
-    wall_seconds: float = 0.0
 
     @property
     def computed_tokens(self) -> int:
@@ -188,7 +186,6 @@ def run_generation(
     conds = [Conditioning.null_for(cfg), cond] if guidance is not None else [cond]
 
     eps_history: list[np.ndarray] | None = [] if collect_eps else None
-    t0 = time.perf_counter()
     for step in range(total):
         t = total - step
         if ctx is not None:
@@ -207,7 +204,6 @@ def run_generation(
             x = ddpm_step(x, eps, t, schedule, seed=seed)
         else:
             x = ddim_step(x, eps, t, schedule)
-    wall = time.perf_counter() - t0
 
     stats = RunStats(
         total_steps=total,
@@ -216,6 +212,5 @@ def run_generation(
         cache_counts=ctx.cache_counts.copy() if ctx is not None else None,
         eps_history=eps_history,
         mask_log=ctx.mask_log if ctx is not None else None,
-        wall_seconds=wall,
     )
     return FeatureMatrix(x, cfg.grid), stats

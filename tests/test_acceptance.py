@@ -123,15 +123,14 @@ def test_criterion_4_score_oracles():
         ctx = CacheContext(sched, cfg, total_steps=9, record_masks=True)
         shadow = np.zeros(4, dtype=int)
 
-        def full_fn(x):
-            return rng.normal(size=(4, 8)), rng.dirichlet(np.ones(4), size=4)
-
-        def rows_fn(x, rows):
+        def fn(x, rows=None):
+            if rows is None:
+                return rng.normal(size=(4, 8)), rng.dirichlet(np.ones(4), size=4)
             return rng.normal(size=(len(rows), 8)), None
 
         for step in range(9):
             ctx.begin_step(step)
-            ctx.dispatch(0, "self_attn", [None], [full_fn], [rows_fn])
+            ctx.dispatch(0, "self_attn", [None], [fn])
             computed = ctx.mask_log[-1][3][0]
             shadow += 1
             shadow[computed] = 0

@@ -371,7 +371,7 @@ def _fake_rows_fn(full_out):
 def test_cached_layer_apply_all_compute():
     full = np.arange(12.0).reshape(4, 3)
     mask = select_compute_set(np.ones(4), 0.0)
-    out, fresh, _ = cached_layer_apply(_fake_rows_fn(full), None, mask, np.zeros((4, 3)))
+    out, fresh = cached_layer_apply(_fake_rows_fn(full), None, mask, np.zeros((4, 3)))
     assert np.array_equal(out, full)
     assert np.array_equal(fresh, full)
 
@@ -379,16 +379,16 @@ def test_cached_layer_apply_all_compute():
 def test_cached_layer_apply_all_cache():
     slot = np.full((4, 3), 7.0)
     mask = select_compute_set(np.ones(4), 1.0)
-    out, fresh, attn = cached_layer_apply(_fake_rows_fn(np.zeros((4, 3))), None, mask, slot)
+    out, fresh = cached_layer_apply(_fake_rows_fn(np.zeros((4, 3))), None, mask, slot)
     assert np.array_equal(out, slot)
-    assert fresh is None and attn is None
+    assert fresh is None
 
 
 def test_cached_layer_apply_splice():
     full = np.arange(12.0).reshape(4, 3)
     slot = np.full((4, 3), -1.0)
     mask = select_compute_set(np.array([5.0, 1.0, 6.0, 2.0]), 0.5)  # cache {1,3}
-    out, fresh, _ = cached_layer_apply(_fake_rows_fn(full), None, mask, slot)
+    out, fresh = cached_layer_apply(_fake_rows_fn(full), None, mask, slot)
     assert np.array_equal(out[[0, 2]], full[[0, 2]])
     assert np.all(out[[1, 3]] == -1.0)
 
@@ -422,6 +422,17 @@ def _stochastic_attn(rng, n):
     return rng.dirichlet(np.ones(n), size=n)
 
 
+def _fake_module(rng, n, with_map=True):
+    """A module callable fn(x, rows=None) with random outputs (and map)."""
+
+    def fn(x, rows=None):
+        if rows is None:
+            return rng.normal(size=(n, 8)), _stochastic_attn(rng, n) if with_map else None
+        return rng.normal(size=(len(rows), 8)), None
+
+    return fn
+
+
 def test_dispatch_counter_law_over_cycles():
     """n_i counts dispatches since token i last computed, reset on compute."""
     rng = np.random.default_rng(0)
@@ -429,16 +440,11 @@ def test_dispatch_counter_law_over_cycles():
     ctx = _ctx(sched, total_steps=9, record_masks=True)
     n = 4
     shadow = np.zeros(n, dtype=int)
-
-    def full_fn(x):
-        return rng.normal(size=(n, 8)), _stochastic_attn(rng, n)
-
-    def rows_fn(x, rows):
-        return rng.normal(size=(len(rows), 8)), None
+    fn = _fake_module(rng, n)
 
     for step in range(9):
         ctx.begin_step(step)
-        ctx.dispatch(0, "self_attn", [None], [full_fn], [rows_fn])
+        ctx.dispatch(0, "self_attn", [None], [fn])
         computed = ctx.mask_log[-1][3][0]  # the selection applied this dispatch
         shadow += 1
         shadow[computed] = 0
@@ -452,17 +458,16 @@ def test_dispatch_fresh_step_resets_everything():
     n = 4
     outs = {}
 
-    def full_fn(x):
+    def fn(x, rows=None):
+        if rows is not None:
+            raise AssertionError("full reuse never computes rows")
         out = rng.normal(size=(n, 8))
         outs[ctx.step] = out
         return out, _stochastic_attn(rng, n)
 
-    def rows_fn(x, rows):
-        raise AssertionError("full reuse never computes rows")
-
     for step in range(6):
         ctx.begin_step(step)
-        (got,), _ = ctx.dispatch(0, "mlp", [None], [full_fn], [rows_fn])
+        (got,) = ctx.dispatch(0, "mlp", [None], [fn])
         fresh_origin = 3 * (step // 3)
         assert np.array_equal(got, outs[fresh_origin])
         counters = ctx.stores[0].counters[(0, "mlp")]
@@ -472,7 +477,7 @@ def test_dispatch_fresh_step_resets_everything():
 def test_dispatch_before_fresh_step_rejected():
     ctx = _ctx(neutral(ratio=1.0), total_steps=6)
     with pytest.raises(RuntimeError):
-        ctx.dispatch(0, "mlp", [None], [lambda x: (np.zeros((4, 8)), None)], [None])
+        ctx.dispatch(0, "mlp", [None], [lambda x, rows=None: (np.zeros((4, 8)), None)])
 
 
 def test_dispatch_requires_begin_step_in_range():
@@ -485,17 +490,11 @@ def test_dispatch_cache_counts_accumulate():
     rng = np.random.default_rng(2)
     sched = neutral(ratio=0.5, cycle=2, lam3=0.25, grid_size=1)
     ctx = _ctx(sched, total_steps=6)
-    n = 4
-
-    def full_fn(x):
-        return rng.normal(size=(n, 8)), _stochastic_attn(rng, n)
-
-    def rows_fn(x, rows):
-        return rng.normal(size=(len(rows), 8)), None
+    fn = _fake_module(rng, 4)
 
     for step in range(6):
         ctx.begin_step(step)
-        ctx.dispatch(0, "self_attn", [None], [full_fn], [rows_fn])
+        ctx.dispatch(0, "self_attn", [None], [fn])
     total_cached = sum(e.cached for e in ctx.events)
     assert ctx.cache_counts.sum() == total_cached
     assert total_cached == 3 * 2  # three non-fresh steps cache floor(0.5*4) each
@@ -506,20 +505,12 @@ def test_dispatch_final_kind_uses_last_layer_stats():
     rng = np.random.default_rng(3)
     sched = neutral(ratio=0.5, cycle=2, lam1=1.0, grid_size=1)
     ctx = _ctx(sched, total_steps=4, depth=1)
-    n = 4
-
-    def full_fn(x):
-        return rng.normal(size=(n, 8)), _stochastic_attn(rng, n)
-
-    def mlp_full(x):
-        return rng.normal(size=(n, 8)), None
-
-    def rows_fn(x, rows):
-        return rng.normal(size=(len(rows), 8)), None
+    attn_fn = _fake_module(rng, 4)
+    head_fn = _fake_module(rng, 4, with_map=False)
 
     for step in range(4):
         ctx.begin_step(step)
-        ctx.dispatch(0, "self_attn", [None], [full_fn], [rows_fn])
-        ctx.dispatch(1, "final", [None], [mlp_full], [rows_fn])
+        ctx.dispatch(0, "self_attn", [None], [attn_fn])
+        ctx.dispatch(1, "final", [None], [head_fn])
     kinds = {(e.layer, e.kind) for e in ctx.events}
     assert (1, "final") in kinds

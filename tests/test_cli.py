@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from toca import cli
@@ -179,6 +180,24 @@ def test_non_finite_number_exits_two(tmp_path, capsys, key):
     assert not out.exists()
 
 
+def test_oversized_grid_size_exits_two(tmp_path, capsys):
+    # the boost cell must fit the grid; this used to fail mid-run with exit 1
+    cfg = _write_cfg(tmp_path, SMALL + "\n[cache]\nprofile = toca-dit\ngrid_size = 5\n")
+    out = tmp_path / "out"
+    assert cli.main(["sample", "-c", cfg, "--out", out.as_posix()]) == 2
+    assert "grid_size 5 exceeds the 4x4 grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_profile_flag_with_oversized_grid_size_exits_two(tmp_path, capsys):
+    narrow = SMALL.replace("grid_h = 4\ngrid_w = 4", "grid_h = 3\ngrid_w = 1")
+    cfg = _write_cfg(tmp_path, narrow)
+    out = tmp_path / "out"
+    assert cli.main(["sample", "-c", cfg, "--profile", "toca-pixart", "--out", out.as_posix()]) == 2
+    assert "grid_size 2 exceeds the 3x1 grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_file_exits_two(tmp_path):
     assert cli.main(["sample", "-c", (tmp_path / "nope.ini").as_posix()]) == 2
 
@@ -230,3 +249,21 @@ def test_guided_sample_runs(tmp_path):
     assert cli.main(["sample", "-c", cfg, "--out", out.as_posix()]) == 0
     stats = json.loads((out / "stats.json").read_text())
     assert stats["cached_tokens"] > 0
+
+
+def test_weights_file_with_time_scale(tmp_path):
+    from toca.artifacts import read_feature_grid
+    from toca.model import ModelConfig, init_model, save_weights
+
+    weights = tmp_path / "w.bin"
+    save_weights(init_model(ModelConfig(2, 8, 2, 4, 4), seed=4), weights)
+    x0 = {}
+    for scale in ("0.5", "1.0"):
+        model_keys = f"grid_w = 4\ntime_scale = {scale}\nweights = {weights}\n"
+        body = SMALL.replace("grid_w = 4\n", model_keys)
+        cfg = _write_cfg(tmp_path, body, f"run{scale}.ini")
+        out = tmp_path / scale
+        assert cli.main(["sample", "-c", cfg, "--out", out.as_posix()]) == 0
+        x0[scale] = read_feature_grid((out / "x0.bin").as_posix())[0].values
+        assert np.all(np.isfinite(x0[scale]))
+    assert not np.array_equal(x0["0.5"], x0["1.0"])

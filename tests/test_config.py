@@ -163,6 +163,25 @@ def test_hash_ignores_output_dir_only():
     assert "output.dir" not in canonical_items(a)
 
 
+def test_hash_covers_weights_contents_not_path(tmp_path):
+    def weights_hash(path):
+        return run_config_hash(parse_config_string(f"[model]\nweights = {path}\n"))
+
+    a, b = tmp_path / "a.bin", tmp_path / "b.bin"
+    a.write_bytes(b"first")
+    first = weights_hash(a)
+    a.write_bytes(b"second")
+    assert weights_hash(a) != first
+    b.write_bytes(b"second")
+    assert weights_hash(b) == weights_hash(a)
+
+
+def test_missing_weights_file_is_a_config_error(tmp_path):
+    rc = parse_config_string(f"[model]\nweights = {tmp_path / 'nope.bin'}\n")
+    with pytest.raises(ConfigError):
+        run_config_hash(rc)
+
+
 def test_hash_is_stable_format():
     h = run_config_hash(default_config())
     assert len(h) == 12

@@ -6,9 +6,8 @@ from toca.model import (
     KIND_FINAL,
     KIND_MLP,
     KIND_SELF,
-    CrossAttnWeights,
+    AttnWeights,
     MlpWeights,
-    SelfAttnWeights,
     layer_norm_rows,
     mlp_forward,
     self_attention_forward,
@@ -111,7 +110,7 @@ def test_mlp_rows_subset_matches_full():
 def test_self_attention_map_is_row_stochastic():
     rng = np.random.default_rng(1)
     d = 8
-    w = SelfAttnWeights(*(rng.normal(size=(d, d)) for _ in range(4)))
+    w = AttnWeights(*(rng.normal(size=(d, d)) for _ in range(4)))
     x = rng.normal(size=(5, d))
     out, attn = self_attention_forward(x, w, heads=2)
     assert out.shape == (5, d)
@@ -122,7 +121,7 @@ def test_self_attention_map_is_row_stochastic():
 def test_self_attention_zero_queries_give_uniform_map():
     rng = np.random.default_rng(2)
     d = 4
-    w = SelfAttnWeights(
+    w = AttnWeights(
         wq=np.zeros((d, d)), wk=rng.normal(size=(d, d)),
         wv=rng.normal(size=(d, d)), wo=rng.normal(size=(d, d)),
     )
@@ -133,7 +132,7 @@ def test_self_attention_zero_queries_give_uniform_map():
 def test_self_attention_partial_rows_match_full():
     rng = np.random.default_rng(3)
     d = 8
-    w = SelfAttnWeights(*(rng.normal(size=(d, d)) for _ in range(4)))
+    w = AttnWeights(*(rng.normal(size=(d, d)) for _ in range(4)))
     x = rng.normal(size=(7, d))
     full_out, full_attn = self_attention_forward(x, w, heads=2)
     rows = np.array([0, 3, 6])
@@ -171,11 +170,11 @@ def test_attention_matches_reference_loop(kind, rows):
     d, heads = 24, 4
     x = rng.normal(size=(13, d))
     if kind == "self":
-        w = SelfAttnWeights(*(rng.normal(size=(d, d)) for _ in range(4)))
+        w = AttnWeights(*(rng.normal(size=(d, d)) for _ in range(4)))
         out, attn = self_attention_forward(x, w, heads, rows=rows)
         kv = x
     else:
-        w = CrossAttnWeights(*(rng.normal(size=(d, d)) for _ in range(4)))
+        w = AttnWeights(*(rng.normal(size=(d, d)) for _ in range(4)))
         kv = rng.normal(size=(5, d))
         out, attn = cross_attention_forward(x, kv, w, heads, rows=rows)
     ref_out, ref_attn = _attention_ref(x, kv, w, heads, None if rows is None else np.array(rows))
@@ -186,7 +185,7 @@ def test_attention_matches_reference_loop(kind, rows):
 def test_cross_attention_needs_text():
     rng = np.random.default_rng(4)
     d = 4
-    w = CrossAttnWeights(*(rng.normal(size=(d, d)) for _ in range(4)))
+    w = AttnWeights(*(rng.normal(size=(d, d)) for _ in range(4)))
     x = rng.normal(size=(3, d))
     with pytest.raises(ValueError):
         cross_attention_forward(x, None, w, heads=1)
@@ -262,10 +261,20 @@ def test_forward_record_layout():
     assert len(records) == c.depth * 3
     kinds = [r.kind for r in records[:3]]
     assert kinds == list(c.group_kinds)
-    # self and cross attention carry maps, the mlp does not
-    assert records[0].attention is not None
-    assert records[1].attention is not None
-    assert records[2].attention is None
+
+
+@pytest.mark.parametrize("kind", ["self_attn", "cross_attn", "mlp", "final"])
+def test_apply_rows_match_full_rows(kind):
+    """One module callable serves both the full and the partial dispatch."""
+    c = cfg(text_tokens=3, grid_h=3, grid_w=3)
+    model = init_model(c, seed=5)
+    cond = Conditioning.random_text(c, 2)
+    h = np.random.default_rng(6).normal(size=(9, 8))
+    layer = c.depth if kind == KIND_FINAL else 1
+    idx = np.array([0, 4, 5, 8])
+    full, _ = model._apply(layer, kind, cond, h)
+    part, _ = model._apply(layer, kind, cond, h, rows=idx)
+    assert np.array_equal(part, full[idx])
 
 
 def test_injection_perturbs_single_site():
