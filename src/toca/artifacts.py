@@ -71,12 +71,18 @@ def write_pgm(path: str, pgm_bytes: bytes) -> None:
 
 
 def write_feature_grid(path: str, features: FeatureMatrix, cfg_hash: str) -> None:
-    """Raw float32 little-endian dump with a one-line ASCII header."""
+    """Raw float32 little-endian dump with a one-line ASCII header.
+
+    Raises ValueError, writing nothing, when a value is not finite in float32.
+    """
     h, w = features.grid
     d = features.hidden
     header = f"{FEATURES_MAGIC} {cfg_hash} {h} {w} {d}\n".encode("ascii")
-    payload = np.ascontiguousarray(features.values, dtype="<f4").tobytes()
-    atomic_write_bytes(path, header + payload)
+    with np.errstate(over="ignore"):
+        payload = np.ascontiguousarray(features.values, dtype="<f4")
+    if not np.isfinite(payload).all():
+        raise ValueError("feature values are not finite in float32; nothing written")
+    atomic_write_bytes(path, header + payload.tobytes())
 
 
 def read_feature_grid(path: str) -> tuple[FeatureMatrix, str]:

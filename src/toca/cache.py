@@ -298,11 +298,6 @@ class ComputeMask:
 
     compute_idx: np.ndarray
     cache_idx: np.ndarray
-    gamma: np.ndarray  # True where the token is computed
-
-    @property
-    def n_tokens(self) -> int:
-        return self.gamma.shape[0]
 
     @property
     def n_computed(self) -> int:
@@ -336,9 +331,7 @@ def select_compute_set(scores, r_eff: float, cfg_coupled: bool = False) -> Compu
     order = np.argsort(s, kind="stable")
     cache_idx = np.sort(order[:n_cache])
     compute_idx = np.sort(order[n_cache:])
-    gamma = np.ones(n, dtype=bool)
-    gamma[cache_idx] = False
-    return ComputeMask(compute_idx=compute_idx, cache_idx=cache_idx, gamma=gamma)
+    return ComputeMask(compute_idx=compute_idx, cache_idx=cache_idx)
 
 
 def cached_layer_apply(fn, x: np.ndarray, mask: ComputeMask, slot_values: np.ndarray):
@@ -414,15 +407,18 @@ class CacheContext:
         self.batch = batch
         self.fresh_steps = cycle_plan(schedule, total_steps)
         self._fresh_set = set(self.fresh_steps)
-        # map every step to (cycle start, actual cycle extent)
+        # map every step to the extent of the cycle it belongs to
         bounds = self.fresh_steps + [total_steps]
-        self._cycle_of: list[tuple[int, int]] = []
-        for i in range(len(self.fresh_steps)):
-            start, end = bounds[i], bounds[i + 1]
-            self._cycle_of += [(start, end - start)] * (end - start)
+        self._cycle_len = [b - a for a, b in zip(bounds, bounds[1:]) for _ in range(a, b)]
         self.type_factors = type_ratio_factors(
             schedule, config.hidden, config.heads, config.n_tokens, config.text_tokens
         )
+        # the masks of dispatches that cache nothing or everything; every such
+        # dispatch and its mask_log entry share these read-only index arrays
+        every, none = np.arange(config.n_tokens), np.arange(0)
+        every.flags.writeable = none.flags.writeable = False
+        self._compute_all = ComputeMask(compute_idx=every, cache_idx=none)
+        self._cache_all = ComputeMask(compute_idx=none, cache_idx=every)
         self.stores = [CacheStore() for _ in range(batch)]
         self.events: list[DispatchEvent] = []
         self.cache_counts = np.zeros((batch, config.n_tokens), dtype=np.int64)
@@ -442,41 +438,14 @@ class CacheContext:
 
     @property
     def current_cycle_len(self) -> int:
-        return self._cycle_of[self.step][1]
-
-    # -- internals -------------------------------------------------------
-
-    def _log_masks(self, layer: int, kind: str, per_half: list[np.ndarray]) -> None:
-        if self.mask_log is not None:
-            self.mask_log.append((self.step, layer, kind, per_half))
-
-    def _dispatch_full(self, layer, kind, xs, fns, r_eff):
-        n = self.config.n_tokens
-        key = (layer, kind)
-        outs = []
-        for h in range(self.batch):
-            out, attn = fns[h](xs[h])
-            store = self.stores[h]
-            store.values[key] = out.copy()
-            store.counters[key] = np.zeros(n, dtype=np.int64)
-            if kind == KIND_SELF:
-                store.attn_influence[layer] = attn.sum(axis=0)
-            elif kind == KIND_CROSS:
-                store.cross_entropy[layer] = score_s2(attn)
-            outs.append(out)
-        self.events.append(DispatchEvent(self.step, layer, kind, r_eff, n, 0))
-        self._log_masks(layer, kind, [np.arange(n)] * self.batch)
-        return outs
+        return self._cycle_len[self.step]
 
     def _base_scores(self, layer: int, kind: str, half: int) -> np.ndarray:
         sched = self.schedule
         store = self.stores[half]
         key = (layer, kind)
-        if key not in store.counters:
-            raise RuntimeError(f"dispatch for {key} before any fresh step")
         stats_layer = min(layer, self.config.depth - 1)
-        n = self.config.n_tokens
-        base = np.zeros(n)
+        base = np.zeros(self.config.n_tokens)
         if sched.lam1 > 0:
             base = base + sched.lam1 * store.attn_influence[stats_layer]
         if sched.lam2 > 0 and stats_layer in store.cross_entropy:
@@ -490,10 +459,11 @@ class CacheContext:
 
         fns[h](x, rows=None) runs the module for half h on all tokens, or on
         the given query rows, and returns (output, attention map or None).
-        Fresh steps compute everything, refill the cache and update the score
-        aggregates from the maps. Other steps pick a compute set per the
-        schedule, splice cached rows with fresh ones and update the cache.
-        Returns the per-half outputs.
+        Every dispatch caches the floor(r_eff * N) lowest-scoring tokens and
+        computes the rest; fresh steps have r_eff = 0. A dispatch that caches
+        nothing runs the module on all tokens, refills the slot and refreshes
+        the score aggregates from the map. Any other splices the cached rows
+        with fresh ones and updates the cache. Returns the per-half outputs.
         """
         if self.step is None:
             raise RuntimeError("begin_step must be called before dispatch")
@@ -501,59 +471,47 @@ class CacheContext:
             raise ValueError("dispatch inputs do not match the context batch")
         n = self.config.n_tokens
         key = (layer, kind)
-
-        if self.is_fresh_step:
-            return self._dispatch_full(layer, kind, xs, fns, r_eff=0.0)
-
-        r_eff = effective_cache_ratio(
+        r_eff = 0.0 if self.is_fresh_step else effective_cache_ratio(
             layer, self.step, kind, self.schedule, self.config.depth,
             self.total_steps, self.type_factors,
         )
         n_cache = cache_token_count(r_eff, n)
-        if n_cache == 0:
-            # nothing cached this dispatch: identical to the uncached path
-            return self._dispatch_full(layer, kind, xs, fns, r_eff)
+        if n_cache > 0 and any(key not in store.values for store in self.stores):
+            raise RuntimeError(f"dispatch for {key} before any fresh step")
 
-        for store in self.stores:
-            if key not in store.values:
-                raise RuntimeError(f"dispatch for {key} before any fresh step")
-
-        if n_cache == n:
-            outs = []
-            for h in range(self.batch):
-                store = self.stores[h]
-                outs.append(store.values[key].copy())
-                store.counters[key] += 1
-                self.cache_counts[h] += 1
-            self.events.append(DispatchEvent(self.step, layer, kind, r_eff, 0, n))
-            self._log_masks(layer, kind, [np.arange(0)] * self.batch)
-            return outs
-
-        scores = [
-            apply_spatial_boost(
-                self._base_scores(layer, kind, h),
-                self.config.grid,
-                self.schedule.grid_size,
-                self.schedule.lam4,
-            )
-            for h in range(self.batch)
-        ]
-        if self.schedule.cfg_coupled and self.batch > 1:
-            shared = select_compute_set(scores, r_eff, cfg_coupled=True)
-            masks = [shared] * self.batch
+        if 0 < n_cache < n:
+            scores = [
+                apply_spatial_boost(
+                    self._base_scores(layer, kind, h),
+                    self.config.grid,
+                    self.schedule.grid_size,
+                    self.schedule.lam4,
+                )
+                for h in range(self.batch)
+            ]
+            if self.schedule.cfg_coupled and self.batch > 1:
+                masks = [select_compute_set(scores, r_eff, cfg_coupled=True)] * self.batch
+            else:
+                masks = [select_compute_set(s, r_eff) for s in scores]
         else:
-            masks = [select_compute_set(s, r_eff) for s in scores]
+            masks = [self._compute_all if n_cache == 0 else self._cache_all] * self.batch
 
         outs = []
-        for h in range(self.batch):
-            store = self.stores[h]
-            mask = masks[h]
-            out, fresh = cached_layer_apply(fns[h], xs[h], mask, store.values[key])
-            cache_update(store.values[key], store.counters[key], mask, fresh)
-            self.cache_counts[h][mask.cache_idx] += 1
+        for h, store in enumerate(self.stores):
+            if n_cache == 0:
+                out, attn = fns[h](xs[h])
+                store.values[key] = out.copy()
+                store.counters[key] = np.zeros(n, dtype=np.int64)
+                if kind == KIND_SELF:
+                    store.attn_influence[layer] = attn.sum(axis=0)
+                elif kind == KIND_CROSS:
+                    store.cross_entropy[layer] = score_s2(attn)
+            else:
+                out, fresh = cached_layer_apply(fns[h], xs[h], masks[h], store.values[key])
+                cache_update(store.values[key], store.counters[key], masks[h], fresh)
+                self.cache_counts[h][masks[h].cache_idx] += 1
             outs.append(out)
-        self.events.append(
-            DispatchEvent(self.step, layer, kind, r_eff, masks[0].n_computed, masks[0].n_cached)
-        )
-        self._log_masks(layer, kind, [m.compute_idx for m in masks])
+        self.events.append(DispatchEvent(self.step, layer, kind, r_eff, n - n_cache, n_cache))
+        if self.mask_log is not None:
+            self.mask_log.append((self.step, layer, kind, [m.compute_idx for m in masks]))
         return outs

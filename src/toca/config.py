@@ -128,6 +128,13 @@ def _opt(raw: str):
     return None if raw.strip().lower() in ("", "none") else raw.strip()
 
 
+def _to_seed(raw) -> int:
+    value = int(raw)
+    if value < 0:
+        raise ValueError(f"negative seed: {raw!r}")
+    return value
+
+
 def _to_bool(raw: str) -> bool:
     states = configparser.ConfigParser.BOOLEAN_STATES
     key = raw.strip().lower()
@@ -180,7 +187,7 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
         except ValueError as e:
             raise ConfigError(f"[model] {e}") from e
         if parser.has_option("model", "init_seed"):
-            rc.init_seed = _get(parser, "model", "init_seed", int, "an integer")
+            rc.init_seed = _get(parser, "model", "init_seed", _to_seed, "a non-negative integer")
         if parser.has_option("model", "weights"):
             rc.weights = _opt(parser.get("model", "weights"))
 
@@ -199,7 +206,7 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
                 parser, "sampler", "guidance", float, "a number or 'none'"
             )
         if parser.has_option("sampler", "seed"):
-            rc.seed = _get(parser, "sampler", "seed", int, "an integer")
+            rc.seed = _get(parser, "sampler", "seed", _to_seed, "a non-negative integer")
         for key in ("beta_start", "beta_end"):
             if parser.has_option("sampler", key):
                 setattr(rc, key, _get(parser, "sampler", key, float, "a number"))
@@ -296,14 +303,12 @@ def load_config(
         rc.profile = profile
         rc.cache = CacheSchedule() if profile == "custom" else replace(PROFILES[profile])
         _check_grid_size(rc)
-    env_seed = os.environ.get("TOCA_SEED")
-    if env_seed is not None:
-        try:
-            rc.seed = int(env_seed)
-        except ValueError as e:
-            raise ConfigError(f"TOCA_SEED must be an integer, got {env_seed!r}") from e
-    if seed is not None:
-        rc.seed = seed
+    for name, raw in (("TOCA_SEED", os.environ.get("TOCA_SEED")), ("seed", seed)):
+        if raw is not None:
+            try:
+                rc.seed = _to_seed(raw)
+            except ValueError as e:
+                raise ConfigError(f"{name} must be a non-negative integer, got {raw!r}") from e
     if out_dir is not None:
         rc.out_dir = out_dir
     return rc

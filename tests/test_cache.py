@@ -308,7 +308,6 @@ def test_selection_oracle():
     mask = select_compute_set(np.array([0.9, 0.1, 0.5, 0.7]), 0.5)
     assert set(mask.cache_idx) == {1, 2}
     assert set(mask.compute_idx) == {0, 3}
-    assert mask.gamma.tolist() == [True, False, False, True]
 
 
 def test_selection_extremes():
@@ -474,9 +473,51 @@ def test_dispatch_fresh_step_resets_everything():
         assert np.all(counters == step - fresh_origin)
 
 
+def test_dispatch_caching_nothing_at_a_non_fresh_step_refreshes_everything():
+    """r_eff > 0 with floor(r_eff * N) = 0 runs the module on every token."""
+    rng = np.random.default_rng(4)
+    ctx = _ctx(neutral(ratio=0.2, cycle=3), total_steps=6, record_masks=True)
+    key = (0, "self_attn")
+    last = {}
+
+    def fn(x, rows=None):
+        last.update(rows=rows, out=rng.normal(size=(4, 8)), attn=_stochastic_attn(rng, 4))
+        return last["out"], last["attn"]
+
+    ctx.begin_step(0)
+    ctx.dispatch(0, "self_attn", [None], [fn])
+    store = ctx.stores[0]
+    store.counters[key][:] = 5  # stale state the dispatch must replace
+    store.attn_influence[0] = np.full(4, -1.0)
+
+    ctx.begin_step(1)
+    assert not ctx.is_fresh_step
+    (got,) = ctx.dispatch(0, "self_attn", [None], [fn])
+    assert last["rows"] is None
+    assert np.array_equal(got, last["out"])
+    assert np.array_equal(store.values[key], last["out"])
+    assert store.counters[key].tolist() == [0, 0, 0, 0]
+    assert np.array_equal(store.attn_influence[0], last["attn"].sum(axis=0))
+    event = ctx.events[-1]
+    assert (event.step, event.computed, event.cached) == (1, 4, 0)
+    assert event.r_eff == pytest.approx(0.2)
+    assert ctx.mask_log[-1][3][0].tolist() == [0, 1, 2, 3]
+    with pytest.raises(ValueError):  # shared by every such dispatch, so read-only
+        ctx.mask_log[-1][3][0][0] = 1
+    assert ctx.cache_counts.sum() == 0
+
+
 def test_dispatch_before_fresh_step_rejected():
     ctx = _ctx(neutral(ratio=1.0), total_steps=6)
     with pytest.raises(RuntimeError):
+        ctx.dispatch(0, "mlp", [None], [lambda x, rows=None: (np.zeros((4, 8)), None)])
+
+
+@pytest.mark.parametrize("ratio", [0.5, 1.0])
+def test_dispatch_that_caches_before_any_fresh_step_rejected(ratio):
+    ctx = _ctx(neutral(ratio=ratio, lam3=1.0), total_steps=6)
+    ctx.begin_step(1)
+    with pytest.raises(RuntimeError, match="before any fresh step"):
         ctx.dispatch(0, "mlp", [None], [lambda x, rows=None: (np.zeros((4, 8)), None)])
 
 

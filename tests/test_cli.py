@@ -180,6 +180,59 @@ def test_non_finite_number_exits_two(tmp_path, capsys, key):
     assert not out.exists()
 
 
+NEGATIVE_SEED = {
+    "sampler-seed": (SMALL.replace("seed = 3", "seed = -1"), {}, []),
+    "init-seed": (SMALL.replace("grid_w = 4\n", "grid_w = 4\ninit_seed = -1\n"), {}, []),
+    "env": (SMALL, {"TOCA_SEED": "-3"}, []),
+    "flag": (SMALL, {}, ["--seed", "-2"]),
+}
+
+
+@pytest.mark.parametrize("path", sorted(NEGATIVE_SEED))
+def test_negative_seed_exits_two(tmp_path, capsys, monkeypatch, path):
+    # each of these used to fail mid-run with exit 1 in the seed sequence
+    body, env, flags = NEGATIVE_SEED[path]
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    cfg = _write_cfg(tmp_path, body)
+    out = tmp_path / "out"
+    assert cli.main(["sample", "-c", cfg, *flags, "--out", out.as_posix()]) == 2
+    assert "non-negative integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+OVERFLOW = {
+    "guidance": SMALL.replace("seed = 3\n", "seed = 3\nguidance = 1e300\n"),
+    "time_scale": SMALL.replace("grid_w = 4\n", "grid_w = 4\ntime_scale = 1e300\n"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(OVERFLOW))
+def test_sample_outside_float32_range_exits_one(tmp_path, capsys, key):
+    # x0 stays finite in float64 but overflows to inf in the float32 x0.bin
+    cfg = _write_cfg(tmp_path, OVERFLOW[key])
+    out = tmp_path / "out"
+    assert cli.main(["sample", "-c", cfg, "--out", out.as_posix()]) == 1
+    assert "not finite in float32" in capsys.readouterr().err
+    assert not out.exists()  # no x0.bin and no temp file
+
+
+def test_write_feature_grid_rejects_float32_overflow(tmp_path):
+    from toca.artifacts import write_feature_grid
+    from toca.model import FeatureMatrix
+
+    path = tmp_path / "x0.bin"
+    for bad in (1e300, -4e38, np.nan):
+        values = np.zeros((4, 2))
+        values[3, 1] = bad
+        with pytest.raises(ValueError, match="not finite in float32"):
+            write_feature_grid(path.as_posix(), FeatureMatrix(values, (2, 2)), "0" * 12)
+    assert not any(tmp_path.iterdir())
+    values[3, 1] = 3.4e38  # just inside float32's range
+    write_feature_grid(path.as_posix(), FeatureMatrix(values, (2, 2)), "0" * 12)
+    assert [p.name for p in tmp_path.iterdir()] == ["x0.bin"]
+
+
 def test_oversized_grid_size_exits_two(tmp_path, capsys):
     # the boost cell must fit the grid; this used to fail mid-run with exit 1
     cfg = _write_cfg(tmp_path, SMALL + "\n[cache]\nprofile = toca-dit\ngrid_size = 5\n")

@@ -187,3 +187,29 @@ def test_run_generation_cycles_partition_steps():
     assert fresh[0] == 0
     assert sorted(set(fresh)) == fresh
     assert all(0 <= s < total for s in fresh)
+
+
+def test_uncoupled_guided_halves_select_their_own_masks():
+    c = ModelConfig(depth=4, hidden=32, heads=4, grid_h=8, grid_w=8)
+    model = init_model(c, seed=3)
+    sched = CacheSchedule(
+        ratio=0.5, cycle=3, lam3=0.5, lam4=1.0, grid_size=2, cfg_coupled=False
+    )
+    x0, stats = run_generation(
+        model, Conditioning.random_class(c, 21), NoiseSchedule.linear(12), sched,
+        seed=2, guidance=1.5, record_masks=True,
+    )
+    differing = 0
+    counts = np.zeros((2, c.n_tokens), dtype=np.int64)
+    for _step, _layer, _kind, halves in stats.mask_log:
+        assert len(halves) == 2 and len(halves[0]) == len(halves[1])
+        if 0 < len(halves[0]) < c.n_tokens and not np.array_equal(*halves):
+            differing += 1
+        for h, computed in enumerate(halves):
+            counts[h] += 1
+            counts[h][computed] -= 1
+    assert differing > 0  # each half scored and selected on its own
+    cached = sum(e.cached for e in stats.events)
+    assert stats.cache_counts.sum(axis=1).tolist() == [cached, cached]
+    assert np.array_equal(stats.cache_counts, counts)  # each half cached by its own mask
+    assert np.all(np.isfinite(x0.values))
