@@ -14,18 +14,14 @@ import numpy as np
 
 from . import linalg
 from .model import (
-    KIND_CROSS,
     KIND_FINAL,
-    KIND_MLP,
-    KIND_SELF,
+    KINDS,
     Conditioning,
     FeatureMatrix,
     Injection,
     Model,
 )
 from .sampler import NoiseSchedule, RunStats, run_generation
-
-_KIND_ORDER = (KIND_SELF, KIND_CROSS, KIND_MLP, KIND_FINAL)
 
 
 def row_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -170,7 +166,7 @@ def measure_error_propagation(
         stream = _stream_at_site(model, x, t, cond, records, layer, kind)
         sigma_used *= float(np.linalg.norm(stream[token]))
 
-    kind_idx = _KIND_ORDER.index(kind)
+    kind_idx = KINDS.index(kind)
     delta = linalg.gaussian(
         (cfg.hidden,), sigma_used, np.random.SeedSequence((seed, layer, kind_idx, token))
     )

@@ -27,6 +27,9 @@ KIND_SELF = "self_attn"
 KIND_CROSS = "cross_attn"
 KIND_MLP = "mlp"
 KIND_FINAL = "final"
+# Every module kind in forward order. The order is fixed: the error-propagation
+# diagnostic seeds its perturbation with a kind's index in this tuple.
+KINDS = (KIND_SELF, KIND_CROSS, KIND_MLP, KIND_FINAL)
 
 WEIGHTS_MAGIC = "TOCA-W1"
 
@@ -92,9 +95,6 @@ class FeatureMatrix:
     @property
     def hidden(self) -> int:
         return self.values.shape[1]
-
-    def copy(self) -> "FeatureMatrix":
-        return FeatureMatrix(self.values.copy(), self.grid)
 
 
 @dataclass
@@ -354,14 +354,8 @@ class Model:
 
     # -- weights ---------------------------------------------------------
 
-    def group_weight_arrays(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        for g in self.groups:
-            out += g.arrays()
-        return out
-
     def weight_arrays(self) -> list[np.ndarray]:
-        return self.group_weight_arrays() + [self.out_proj]
+        return [arr for g in self.groups for arr in g.arrays()] + [self.out_proj]
 
     # -- forward ---------------------------------------------------------
 
@@ -479,7 +473,7 @@ def init_model(config: ModelConfig, seed: int, zero_init: bool = False) -> Model
     projection the identity.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
-    d = config.hidden
+    d, f = config.hidden, config.mlp_hidden
 
     def draw(m, n, fan_in):
         if zero_init:
@@ -492,7 +486,7 @@ def init_model(config: ModelConfig, seed: int, zero_init: bool = False) -> Model
         ca = None
         if config.text_tokens > 0:
             ca = AttnWeights(draw(d, d, d), draw(d, d, d), draw(d, d, d), draw(d, d, d))
-        mlp = MlpWeights(draw(d, 4 * d, d), draw(4 * d, d, 4 * d))
+        mlp = MlpWeights(draw(d, f, d), draw(f, d, f))
         groups.append(GroupWeights(sa, ca, mlp))
 
     if zero_init:

@@ -1,3 +1,7 @@
+import configparser
+import re
+from pathlib import Path
+
 import pytest
 
 from toca.config import (
@@ -186,3 +190,95 @@ def test_hash_is_stable_format():
     h = run_config_hash(default_config())
     assert len(h) == 12
     assert all(ch in "0123456789abcdef" for ch in h)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("", "513ecd96b916"),
+        ("[cache]\nprofile = toca-dit\n", "b5cfb71f2f68"),
+        (
+            "[model]\ntext_tokens = 16\n[sampler]\nkind = ddim\nguidance = 4.0\n"
+            "[cache]\nprofile = toca-pixart\n",
+            "abe10b8a6470",
+        ),
+        (
+            "[cache]\nprofile = custom\nratio = 0.4\nfixed_cycle_start = 2\n"
+            "fixed_cycle_end = 8\nfixed_cycle_len = 2\ntype_mode = flops-share\n"
+            "cfg_coupled = false\n"
+            "[analyze]\nlayer = 1\nkind = mlp\nmode = relative\nnormalize = true\n",
+            "b8463b8df4b9",
+        ),
+    ],
+    ids=["default", "toca-dit", "pixart-guided", "custom-window"],
+)
+def test_golden_hashes(text, expected):
+    # provenance ids already stamped on artifacts must keep resolving
+    assert run_config_hash(parse_config_string(text)) == expected
+
+
+def _ini_keys(text):
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(text)
+    return [(section, key) for section in parser.sections() for key in parser.options(section)]
+
+
+def _render(sections):
+    return "".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for name, keys in sections.items()
+    )
+
+
+def test_every_key_reaches_the_hash(tmp_path):
+    weights = tmp_path / "w.bin"
+    weights.write_bytes(b"weights")
+    # an active schedule with a fixed window, so every cache field matters
+    base = {
+        "cache": {
+            "profile": "custom", "ratio": "0.5",
+            "fixed_cycle_start": "2", "fixed_cycle_end": "8", "fixed_cycle_len": "2",
+        }
+    }
+    changed = {
+        ("model", "depth"): "3", ("model", "hidden"): "64", ("model", "heads"): "8",
+        ("model", "grid_h"): "4", ("model", "grid_w"): "4", ("model", "text_tokens"): "3",
+        ("model", "time_scale"): "0.5", ("model", "init_seed"): "1",
+        ("model", "weights"): weights.as_posix(),
+        ("sampler", "steps"): "10", ("sampler", "kind"): "ddim",
+        ("sampler", "guidance"): "2.0", ("sampler", "seed"): "1",
+        ("sampler", "beta_start"): "0.001", ("sampler", "beta_end"): "0.05",
+        ("cache", "profile"): "toca-dit", ("cache", "ratio"): "0.25", ("cache", "cycle"): "2",
+        ("cache", "lam1"): "0.5", ("cache", "lam2"): "0.5", ("cache", "lam3"): "0.5",
+        ("cache", "lam4"): "0.5", ("cache", "lam_depth"): "0.1", ("cache", "lam_time"): "0.1",
+        ("cache", "lam_type"): "1.0", ("cache", "cycle_slope"): "0.2",
+        ("cache", "grid_size"): "2", ("cache", "center"): "1.5",
+        ("cache", "cfg_coupled"): "false", ("cache", "type_mode"): "flops-share",
+        ("cache", "fixed_cycle_start"): "3", ("cache", "fixed_cycle_end"): "9",
+        ("cache", "fixed_cycle_len"): "3",
+        ("analyze", "layer"): "1", ("analyze", "kind"): "mlp", ("analyze", "token"): "1",
+        ("analyze", "sigma"): "1.0", ("analyze", "mode"): "relative",
+        ("analyze", "normalize"): "true",
+        ("output", "dir"): "elsewhere",
+    }
+    keys = _ini_keys(dump_config(default_config()))
+    assert sorted(keys) == sorted(changed)  # a new key needs a value here
+    base_hash = run_config_hash(parse_config_string(_render(base)))
+    for (section, key), value in changed.items():
+        sections = {name: dict(entries) for name, entries in base.items()}
+        sections.setdefault(section, {})[key] = value
+        h = run_config_hash(parse_config_string(_render(sections)))
+        if (section, key) == ("output", "dir"):
+            assert h == base_hash
+        else:
+            assert h != base_hash, f"[{section}] {key} does not reach the hash"
+
+
+def test_readme_lists_every_key_with_its_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"full\s+set\s+of\s+keys\s+and\s+their\s+defaults:\s*```ini\n(.*?)```",
+                      readme, re.S)
+    assert block is not None
+    text = re.sub(r"\s+#.*$", "", block.group(1), flags=re.M)
+    assert parse_config_string(text) == default_config()
+    assert _ini_keys(text) == _ini_keys(dump_config(default_config()))
