@@ -42,6 +42,7 @@ from .model import (
     Injection,
     Model,
     ModelConfig,
+    Workspace,
     init_model,
     load_weights,
     save_weights,

@@ -69,8 +69,9 @@ def measure_temporal_redundancy(
     """Track layer outputs along an uncached trajectory and diff adjacent steps.
 
     Layer l's output at a step is the residual stream after l's whole module
-    group, rebuilt from the recorded module outputs. Caching is disabled; this
-    measures the trajectory caching would be approximating.
+    group, rebuilt from the module outputs a tap copies out of that step's
+    forward. Caching is disabled; this measures the trajectory caching would
+    be approximating.
     """
     cfg = model.config
     if layers is None:
@@ -81,23 +82,24 @@ def measure_temporal_redundancy(
 
     wanted = set(layers)
     per_step: list[np.ndarray] = []
+    outputs = _Recorder()
 
     def hook(step, t, xm, halves):
-        _, records = halves[0]
         stream = model.input_stream(xm, float(t), cond)
         outs = {}
         k = 0
         for layer in range(cfg.depth):
             for _ in cfg.group_kinds:
-                stream = stream + records[k].output
+                stream = stream + outputs[k]
                 k += 1
             if layer in wanted:
                 outs[layer] = stream
         per_step.append(np.stack([outs[l] for l in layers]))
+        outputs.clear()
 
     run_generation(
         model, cond, schedule, cache_schedule=None, seed=seed, sampler=sampler,
-        step_hook=hook,
+        step_hook=hook, tap=outputs.tap,
     )
 
     total = schedule.total_steps
@@ -119,7 +121,14 @@ class PropagationProfile:
     normalized: bool = False
 
 
-def _stream_at_site(model, x, t, cond, records, layer, kind):
+class _Recorder(list):
+    """Copies of stream 0's block-module outputs, in forward order."""
+
+    def tap(self, layer, kind, outs):
+        self.append(outs[0].copy())
+
+
+def _stream_at_site(model, x, t, cond, outputs, layer, kind):
     """Rebuild the residual stream as it stood entering (layer, kind)."""
     cfg = model.config
     stream = model.input_stream(x, float(t), cond)
@@ -128,7 +137,7 @@ def _stream_at_site(model, x, t, cond, records, layer, kind):
         for kd in cfg.group_kinds:
             if (l, kd) == (layer, kind):
                 return stream
-            stream = stream + records[k].output
+            stream = stream + outputs[k]
             k += 1
     if layer == cfg.depth and kind == KIND_FINAL:
         return stream
@@ -159,11 +168,12 @@ def measure_error_propagation(
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
     cfg = model.config
-    eps_clean, records = model.forward(x, float(t), cond)
+    outputs = _Recorder()
+    eps_clean = model.forward(x, float(t), cond, tap=outputs.tap if relative else None)
 
     sigma_used = float(sigma)
     if relative:
-        stream = _stream_at_site(model, x, t, cond, records, layer, kind)
+        stream = _stream_at_site(model, x, t, cond, outputs, layer, kind)
         sigma_used *= float(np.linalg.norm(stream[token]))
 
     kind_idx = KINDS.index(kind)
@@ -171,7 +181,7 @@ def measure_error_propagation(
         (cfg.hidden,), sigma_used, np.random.SeedSequence((seed, layer, kind_idx, token))
     )
     inject = Injection(layer=layer, kind=kind, token=token, delta=delta)
-    eps_pert, _ = model.forward(x, float(t), cond, inject=inject)
+    eps_pert = model.forward(x, float(t), cond, inject=inject)
 
     errors = row_distances(eps_pert.values, eps_clean.values)
     if normalize:

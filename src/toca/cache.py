@@ -222,8 +222,9 @@ def score_s1(attn: np.ndarray, lam1: float = 1.0) -> np.ndarray:
     a = np.asarray(attn, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError("attention map must be 2-D")
-    row_sums = a.sum(axis=1)
-    if np.max(np.abs(row_sums - 1.0)) > 1e-6:
+    dev = a.sum(axis=1)
+    dev -= 1.0
+    if np.abs(dev, out=dev).max() > 1e-6:
         raise ValueError("attention map rows must sum to 1")
     return lam1 * a.sum(axis=0)
 
@@ -335,35 +336,36 @@ def select_compute_set(scores, r_eff: float, cfg_coupled: bool = False) -> Compu
 
 
 def cached_layer_apply(fn, x: np.ndarray, mask: ComputeMask, slot_values: np.ndarray):
-    """Splice freshly computed rows into the cached module output.
+    """Splice freshly computed rows into the cache slot, which is the module output.
 
     fn(x, rows) evaluates the module for the given query rows against the
     full input stream and returns (rows_out, map or None); the map is dropped.
-    Returns (output, fresh_rows); fresh_rows is None when the mask computes
+    The fresh rows overwrite their rows of the slot in place. Returns
+    (slot_values, fresh_rows); fresh_rows is None when the mask computes
     nothing.
     """
     if slot_values is None:
         raise RuntimeError("cache slot is empty; a fresh step must run first")
-    out = slot_values.copy()
     if mask.n_computed == 0:
-        return out, None
+        return slot_values, None
     fresh = fn(x, mask.compute_idx)[0]
-    out[mask.compute_idx] = fresh
-    return out, fresh
+    slot_values[mask.compute_idx] = fresh
+    return slot_values, fresh
 
 
-def cache_update(
-    slot_values: np.ndarray, counters: np.ndarray, mask: ComputeMask, fresh_rows
-) -> None:
-    """Store fresh rows, reset their counters, age everything still cached."""
-    if fresh_rows is not None:
-        slot_values[mask.compute_idx] = fresh_rows
-        counters[mask.compute_idx] = 0
+def cache_update(counters: np.ndarray, mask: ComputeMask) -> None:
+    """Reset the counters of the computed tokens, age everything still cached."""
+    counters[mask.compute_idx] = 0
     counters[mask.cache_idx] += 1
 
 
 class CacheStore:
-    """Per-sample cache state: slots, counters and score aggregates."""
+    """Per-sample cache state: slots, counters and score aggregates.
+
+    A slot is the output of the module's last full computation, kept without
+    a copy; partial dispatches overwrite their computed rows in place, and
+    every dispatch hands the slot itself to the model as the module output.
+    """
 
     def __init__(self) -> None:
         self.values: dict[tuple[int, str], np.ndarray] = {}
@@ -461,9 +463,12 @@ class CacheContext:
         the given query rows, and returns (output, attention map or None).
         Every dispatch caches the floor(r_eff * N) lowest-scoring tokens and
         computes the rest; fresh steps have r_eff = 0. A dispatch that caches
-        nothing runs the module on all tokens, refills the slot and refreshes
-        the score aggregates from the map. Any other splices the cached rows
-        with fresh ones and updates the cache. Returns the per-half outputs.
+        nothing keeps the module's output itself as the slot, without a copy,
+        so a full call must return an array that nothing else writes; it also
+        refreshes the score aggregates from the map. Any other splices fresh
+        rows into the slot and ages the cached ones. Returns the per-half
+        slots, which are the module outputs until the next dispatch of the
+        same (layer, kind).
         """
         if self.step is None:
             raise RuntimeError("begin_step must be called before dispatch")
@@ -499,18 +504,18 @@ class CacheContext:
         outs = []
         for h, store in enumerate(self.stores):
             if n_cache == 0:
-                out, attn = fns[h](xs[h])
-                store.values[key] = out.copy()
+                slot, attn = fns[h](xs[h])
+                store.values[key] = slot
                 store.counters[key] = np.zeros(n, dtype=np.int64)
                 if kind == KIND_SELF:
-                    store.attn_influence[layer] = attn.sum(axis=0)
+                    store.attn_influence[layer] = score_s1(attn)
                 elif kind == KIND_CROSS:
                     store.cross_entropy[layer] = score_s2(attn)
             else:
-                out, fresh = cached_layer_apply(fns[h], xs[h], masks[h], store.values[key])
-                cache_update(store.values[key], store.counters[key], masks[h], fresh)
+                slot, _ = cached_layer_apply(fns[h], xs[h], masks[h], store.values[key])
+                cache_update(store.counters[key], masks[h])
                 self.cache_counts[h][masks[h].cache_idx] += 1
-            outs.append(out)
+            outs.append(slot)
         self.events.append(DispatchEvent(self.step, layer, kind, r_eff, n - n_cache, n_cache))
         if self.mask_log is not None:
             self.mask_log.append((self.step, layer, kind, [m.compute_idx for m in masks]))

@@ -35,6 +35,11 @@ class ConfigError(Exception):
 
 PROFILE_NAMES = (*PROFILES, "custom")
 
+# Largest |time_scale| and |guidance| accepted. x0 grows linearly in both: at
+# 1e6 a 1000-step run of the default betas stays below 1e13 in magnitude,
+# far inside float32 (x0.bin) and the layer norm's float64 squares.
+SCALE_LIMIT = 1e6
+
 
 @dataclass
 class RunConfig:
@@ -142,7 +147,18 @@ def _to_bool(raw: str) -> bool:
     return states[key]
 
 
+def _within(limit: float):
+    """A float no larger than ``limit`` in magnitude (non-finite ones are left to _get)."""
+    def check(raw):
+        value = float(raw)
+        if math.isfinite(value) and abs(value) > limit:
+            raise ValueError(f"magnitude above {limit:g}: {raw!r}")
+        return value
+    return check
+
+
 _to_seed = _non_negative(int)
+_SCALE = f"a number in [-{SCALE_LIMIT:g}, {SCALE_LIMIT:g}]"
 
 
 def _weights_digest(path: str | None) -> str:
@@ -183,14 +199,16 @@ _SETTINGS: dict[tuple[str, str], _Setting] = {
     ("model", "grid_h"): _Setting("model.grid_h", int, "an integer"),
     ("model", "grid_w"): _Setting("model.grid_w", int, "an integer"),
     ("model", "text_tokens"): _Setting("model.text_tokens", int, "an integer"),
-    ("model", "time_scale"): _Setting("model.time_scale", float, "a number"),
+    ("model", "time_scale"): _Setting("model.time_scale", _within(SCALE_LIMIT), _SCALE),
     ("model", "init_seed"): _Setting("init_seed", _to_seed, "a non-negative integer"),
     ("model", "weights"): _Setting(
         "weights", _optional(str.strip), "a path or 'none'", _weights_digest
     ),
     ("sampler", "steps"): _Setting("steps", int, "an integer"),
     ("sampler", "kind"): _Setting("sampler", *_choice(SAMPLERS)),
-    ("sampler", "guidance"): _Setting("guidance", _optional(float), "a number or 'none'"),
+    ("sampler", "guidance"): _Setting(
+        "guidance", _optional(_within(SCALE_LIMIT)), f"{_SCALE} or 'none'"
+    ),
     ("sampler", "seed"): _Setting("seed", _to_seed, "a non-negative integer"),
     ("sampler", "beta_start"): _Setting("beta_start", float, "a number"),
     ("sampler", "beta_end"): _Setting("beta_end", float, "a number"),
@@ -235,6 +253,9 @@ def parse_config_string(text: str) -> RunConfig:
 
 
 def _build(parser: configparser.ConfigParser) -> RunConfig:
+    if parser.defaults():
+        keys = ", ".join(parser.defaults())
+        raise ConfigError(f"keys under [DEFAULT] are not accepted: {keys}")
     rc = default_config()
     nested: dict[str, dict] = {"model": {}, "cache": {}}
     for section in parser.sections():

@@ -10,11 +10,14 @@ individual tokens are served from cached outputs instead of being recomputed.
 Conditioning is either a set of text tokens (consumed by cross-attention) or a
 class embedding added to the stream at the input together with the sinusoidal
 timestep embedding.
+
+Every intermediate of a forward (streams, norms, q/k/v, logits, maps, MLP
+hidden, module outputs) can live in a ``Workspace`` that the caller keeps for
+a whole trajectory, so steady-state steps allocate no (N, D) array per module.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -148,13 +151,6 @@ class Conditioning:
         return cls(class_embedding=np.zeros(config.hidden))
 
 
-@dataclass
-class LayerRecord:
-    layer: int
-    kind: str
-    output: np.ndarray
-
-
 @dataclass(frozen=True)
 class Injection:
     """A single-token perturbation applied to a module's input stream."""
@@ -214,44 +210,78 @@ def timestep_embedding(t: float, dim: int, scale: float = 1.0) -> np.ndarray:
     return scale * emb
 
 
-def layer_norm_rows(x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
+class Workspace:
+    """Named float64 buffers that a forward reuses from call to call.
+
+    ``take(name, m, n)`` returns the first m rows of the C-contiguous buffer
+    kept under (name, n), allocated on first use and regrown only when a call
+    needs more rows than any before it. The next take of the same buffer
+    overwrites what a view holds, so callers copy what they keep. One
+    workspace serves one trajectory on one thread; run_generation builds one
+    per run.
+    """
+
+    def __init__(self) -> None:
+        self._bufs: dict[tuple, np.ndarray] = {}
+
+    def take(self, name, m: int, n: int) -> np.ndarray:
+        buf = self._bufs.get((name, n))
+        if buf is None or buf.shape[0] < m:
+            buf = self._bufs[name, n] = np.empty((m, n))
+        return buf if buf.shape[0] == m else buf[:m]
+
+
+def _buffer(ws: Workspace | None, name, m: int, n: int, out=None) -> np.ndarray:
+    """``out`` if given, else an (m, n) buffer from ``ws``, else a new array."""
+    if out is not None:
+        return out
+    return np.empty((m, n)) if ws is None else ws.take(name, m, n)
+
+
+def layer_norm_rows(x: np.ndarray, eps: float = 1e-6, out=None, ws=None) -> np.ndarray:
     """Parameter-free layer norm over the feature axis.
 
     Bitwise ``(x - x.mean(1)) / sqrt(x.var(1) + eps)``, written into the
-    squared deviations instead of a third matrix.
+    squared deviations (``out``, if given) instead of a third matrix.
     """
-    d = x.shape[1]
-    centred = x - x.sum(axis=1, keepdims=True) / d
-    out = np.square(centred)
+    n, d = x.shape
+    centred = np.subtract(x, x.sum(axis=1, keepdims=True) / d, out=_buffer(ws, "centred", n, d))
+    out = np.square(centred, out=_buffer(ws, "normed", n, d, out))
     denom = out.sum(axis=1, keepdims=True) / d
     denom += eps
     np.sqrt(denom, out=denom)
     return np.divide(centred, denom, out=out)
 
 
-def _maybe_rows(x: np.ndarray, rows) -> np.ndarray:
+def _take_rows(x: np.ndarray, rows, ws: Workspace | None) -> np.ndarray:
     if rows is None:
         return x
     idx = np.asarray(rows, dtype=np.intp)
-    return x[idx]
+    if ws is None:
+        return x[idx]
+    # mode="raise" would stage the rows through a temporary; the cache engine
+    # passes ids from a ComputeMask, which are always in range
+    return np.take(x, idx, axis=0, out=ws.take("rows", idx.shape[0], x.shape[1]), mode="clip")
 
 
-def _attend(xq, kv, weights: AttnWeights, heads: int, counter: FlopCounter | None):
+def _attend(
+    xq, kv, weights: AttnWeights, heads: int, counter: FlopCounter | None, out=None, ws=None
+):
     """Multi-head attention of (m, d) query rows against (n, d) key/value rows.
 
     Projects queries from ``xq`` and keys/values from ``kv``. Heads run one
     after another in one (m, n) logits buffer that each step overwrites in
     place; stacking the heads into (H, m, n) temporaries was measured slower.
-    Returns the projected output (m, d) and the head-averaged attention map
-    (m, n).
+    Returns the projected output (m, d), written into ``out`` when given, and
+    the head-averaged attention map (m, n), which lives in ``ws``.
     """
     m, d = xq.shape
     n = kv.shape[0]
     if d % heads != 0:
         raise ValueError(f"hidden size {d} not divisible by {heads} heads")
-    q = xq @ weights.wq
-    k = kv @ weights.wk
-    v = kv @ weights.wv
+    q = np.matmul(xq, weights.wq, out=_buffer(ws, "q", m, d))
+    k = np.matmul(kv, weights.wk, out=_buffer(ws, "k", n, d))
+    v = np.matmul(kv, weights.wv, out=_buffer(ws, "v", n, d))
     if counter is not None:
         counter.matmul(m, d, d)
         counter.matmul(n, d, d)
@@ -259,9 +289,10 @@ def _attend(xq, kv, weights: AttnWeights, heads: int, counter: FlopCounter | Non
 
     dh = d // heads
     scale = 1.0 / math.sqrt(dh)
-    out_heads = np.empty((m, d))
-    attn_sum = np.zeros((m, n))
-    a = np.empty((m, n))
+    out_heads = _buffer(ws, "heads", m, d)
+    attn_sum = _buffer(ws, "map", m, n)
+    attn_sum.fill(0.0)
+    a = _buffer(ws, "logits", m, n)
     for h in range(heads):
         sl = slice(h * dh, (h + 1) * dh)
         np.matmul(q[:, sl], k[:, sl].T, out=a)
@@ -275,7 +306,7 @@ def _attend(xq, kv, weights: AttnWeights, heads: int, counter: FlopCounter | Non
             counter.matmul(m, n, dh)
     attn_sum /= heads
 
-    out = out_heads @ weights.wo
+    out = np.matmul(out_heads, weights.wo, out=_buffer(ws, "out", m, d, out))
     if counter is not None:
         counter.matmul(m, d, d)
     return out, attn_sum
@@ -287,6 +318,8 @@ def self_attention_forward(
     heads: int,
     rows=None,
     counter: FlopCounter | None = None,
+    out=None,
+    ws: Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Multi-head self-attention over the token stream.
 
@@ -294,9 +327,11 @@ def self_attention_forward(
     always come from the full stream), which is how partially cached dispatch
     evaluates only the tokens it needs. Returns the module output together
     with the head-averaged attention map (rows = queries, columns = tokens).
+    The output goes to ``out`` when given; intermediates, and the output
+    otherwise, go to ``ws`` when given.
     """
     x = linalg.as_matrix(x)
-    return _attend(_maybe_rows(x, rows), x, weights, heads, counter)
+    return _attend(_take_rows(x, rows, ws), x, weights, heads, counter, out, ws)
 
 
 def cross_attention_forward(
@@ -306,6 +341,8 @@ def cross_attention_forward(
     heads: int,
     rows=None,
     counter: FlopCounter | None = None,
+    out=None,
+    ws: Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Attention with image-token queries against text-token keys/values."""
     x = linalg.as_matrix(x)
@@ -316,7 +353,7 @@ def cross_attention_forward(
         raise ValueError("cross-attention needs at least one text token")
     if text.shape[1] != x.shape[1]:
         raise ValueError(f"text hidden size {text.shape[1]} != {x.shape[1]}")
-    return _attend(_maybe_rows(x, rows), text, weights, heads, counter)
+    return _attend(_take_rows(x, rows, ws), text, weights, heads, counter, out, ws)
 
 
 def mlp_forward(
@@ -324,15 +361,17 @@ def mlp_forward(
     weights: MlpWeights,
     rows=None,
     counter: FlopCounter | None = None,
+    out=None,
+    ws: Workspace | None = None,
 ) -> np.ndarray:
     """Token-wise two-layer MLP with a ReLU between the projections."""
     x = linalg.as_matrix(x)
-    xr = _maybe_rows(x, rows)
+    xr = _take_rows(x, rows, ws)
     m, d = xr.shape
     d2 = weights.w1.shape[1]
-    h = xr @ weights.w1
+    h = np.matmul(xr, weights.w1, out=_buffer(ws, "hidden", m, d2))
     np.maximum(h, 0.0, out=h)
-    out = h @ weights.w2
+    out = np.matmul(h, weights.w2, out=_buffer(ws, "out", m, d, out))
     if counter is not None:
         counter.matmul(m, d, d2)
         counter.activation(m * d2)
@@ -359,33 +398,40 @@ class Model:
 
     # -- forward ---------------------------------------------------------
 
-    def input_stream(self, x: FeatureMatrix, t: float, cond: Conditioning) -> np.ndarray:
+    def input_stream(
+        self, x: FeatureMatrix, t: float, cond: Conditioning, out=None
+    ) -> np.ndarray:
         """Token stream entering the first block: x plus timestep (and class) embedding."""
         cfg = self.config
         if x.grid != cfg.grid or x.hidden != cfg.hidden:
             raise ValueError(f"input {x.values.shape}/{x.grid} does not match model {cfg}")
         cond.validate_for(cfg)
-        stream = x.values + timestep_embedding(t, cfg.hidden, cfg.time_scale)[None, :]
+        emb = timestep_embedding(t, cfg.hidden, cfg.time_scale)
+        stream = np.add(x.values, emb[None, :], out=out)
         if cfg.text_tokens == 0:
-            stream = stream + cond.class_embedding[None, :]
+            stream += cond.class_embedding[None, :]
         return stream
 
-    def _apply(self, layer: int, kind: str, cond: Conditioning, h, rows=None):
+    def _apply(self, layer: int, kind: str, cond: Conditioning, h, rows=None, out=None, ws=None):
         """One module on the (normed) stream h: (output, attention map or None).
 
         ``rows`` computes only those query rows against the full stream; the
-        cache engine passes them at partial dispatches.
+        cache engine passes them at partial dispatches. The output goes to
+        ``out`` when given; intermediates, and the output otherwise, go to the
+        workspace ``ws`` when given.
         """
         heads = self.config.heads
         if kind == KIND_SELF:
-            return self_attention_forward(h, self.groups[layer].self_attn, heads, rows=rows)
+            w = self.groups[layer].self_attn
+            return self_attention_forward(h, w, heads, rows=rows, out=out, ws=ws)
         if kind == KIND_CROSS:
             w = self.groups[layer].cross_attn
-            return cross_attention_forward(h, cond.text, w, heads, rows=rows)
+            return cross_attention_forward(h, cond.text, w, heads, rows=rows, out=out, ws=ws)
         if kind == KIND_MLP:
-            return mlp_forward(h, self.groups[layer].mlp, rows=rows), None
+            return mlp_forward(h, self.groups[layer].mlp, rows=rows, out=out, ws=ws), None
         if kind == KIND_FINAL:
-            return _maybe_rows(h, rows) @ self.out_proj, None
+            hr = _take_rows(h, rows, ws)
+            return np.matmul(hr, self.out_proj, out=_buffer(ws, "out", *hr.shape, out)), None
         raise ValueError(f"unknown module kind {kind!r}")
 
     def _check_injection(self, inject: Injection) -> None:
@@ -408,8 +454,12 @@ class Model:
         cond: Conditioning,
         cache_ctx=None,
         inject: Injection | None = None,
-    ) -> tuple[FeatureMatrix, list[LayerRecord]]:
-        return self.forward_batch([x], t, [cond], cache_ctx=cache_ctx, inject=inject)[0]
+        ws: Workspace | None = None,
+        tap=None,
+    ) -> FeatureMatrix:
+        return self.forward_batch(
+            [x], t, [cond], cache_ctx=cache_ctx, inject=inject, ws=ws, tap=tap
+        )[0]
 
     def forward_batch(
         self,
@@ -418,12 +468,24 @@ class Model:
         conds: list[Conditioning],
         cache_ctx=None,
         inject: Injection | None = None,
-    ) -> list[tuple[FeatureMatrix, list[LayerRecord]]]:
+        ws: Workspace | None = None,
+        tap=None,
+    ) -> list[FeatureMatrix]:
         """Run the denoiser on one or more streams in lockstep.
 
         Lockstep batching is what lets a cache context coordinate token
         selection across the halves of a guidance pair. The injection, when
         given, perturbs stream 0 right before the targeted module.
+
+        Every intermediate lives in ``ws``; pass the same workspace on every
+        step of a trajectory so steps reuse its buffers (a new one is made
+        per call otherwise). Module outputs are the context's cache slots
+        under a context, and one reused buffer per stream without one;
+        nothing else keeps them past the residual add. ``tap``, when given,
+        is called as ``tap(layer, kind, outs)`` after every block module
+        with the per-stream outputs, which later modules overwrite: copy
+        what you keep. Returns one newly allocated noise prediction per
+        stream.
         """
         cfg = self.config
         if len(xs) != len(conds) or not xs:
@@ -432,9 +494,20 @@ class Model:
             raise ValueError(f"cache context batch {cache_ctx.batch} != {len(xs)} inputs")
         if inject is not None:
             self._check_injection(inject)
+        if ws is None:
+            ws = Workspace()
+        n, d = cfg.n_tokens, cfg.hidden
+        halves = range(len(xs))
 
-        streams = [self.input_stream(x, t, c) for x, c in zip(xs, conds)]
-        records: list[list[LayerRecord]] = [[] for _ in xs]
+        def per_stream(name):
+            return [ws.take((name, h), n, d) for h in halves]
+
+        streams, normed = per_stream("stream"), per_stream("normed")
+        for h in halves:
+            self.input_stream(xs[h], t, conds[h], out=streams[h])
+        # every output is added only after all streams have run, so each
+        # stream of an uncached forward needs its own output buffer
+        outputs = per_stream("out") if cache_ctx is None else None
 
         def maybe_inject(layer, kind):
             if inject is not None and inject.layer == layer and inject.kind == kind:
@@ -442,25 +515,39 @@ class Model:
                     inject.delta, dtype=np.float64
                 )
 
+        def cached_module(layer, kind, h):
+            # A full call computes into this site's slot buffer, which the
+            # context keeps as its cache slot; row subsets go to scratch.
+            slot = ws.take(("slot", layer, kind, h), n, d)
+
+            def fn(x, rows=None):
+                out = slot if rows is None else None
+                return self._apply(layer, kind, conds[h], x, rows, out=out, ws=ws)
+
+            return fn
+
         def run(layer, kind, hs):
-            fns = [functools.partial(self._apply, layer, kind, c) for c in conds]
             if cache_ctx is not None:
+                fns = [cached_module(layer, kind, h) for h in halves]
                 return cache_ctx.dispatch(layer, kind, hs, fns)
-            return [fn(h)[0] for fn, h in zip(fns, hs)]
+            return [
+                self._apply(layer, kind, conds[h], hs[h], out=outputs[h], ws=ws)[0]
+                for h in halves
+            ]
 
         for layer in range(cfg.depth):
             for kind in cfg.group_kinds:
                 maybe_inject(layer, kind)
-                outs = run(layer, kind, [layer_norm_rows(s) for s in streams])
-                for rec, s, o in zip(records, streams, outs):
-                    rec.append(LayerRecord(layer, kind, o))
+                hs = [layer_norm_rows(streams[h], out=normed[h], ws=ws) for h in halves]
+                outs = run(layer, kind, hs)
+                if tap is not None:
+                    tap(layer, kind, outs)
+                for s, o in zip(streams, outs):
                     s += o
 
         maybe_inject(cfg.depth, KIND_FINAL)
         outs = run(cfg.depth, KIND_FINAL, streams)
-        return [
-            (FeatureMatrix(outs[h], cfg.grid), records[h]) for h in range(len(xs))
-        ]
+        return [FeatureMatrix(o.copy(), cfg.grid) for o in outs]
 
 
 def init_model(config: ModelConfig, seed: int, zero_init: bool = False) -> Model:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg
 from .cache import CacheContext, CacheSchedule, DispatchEvent
-from .model import Conditioning, FeatureMatrix, Model
+from .model import Conditioning, FeatureMatrix, Model, Workspace
 
 SAMPLERS = ("ddpm", "ddim")
 
@@ -152,6 +152,7 @@ def run_generation(
     collect_eps: bool = False,
     record_masks: bool = False,
     step_hook=None,
+    tap=None,
 ) -> tuple[FeatureMatrix, RunStats]:
     """Run the full reverse trajectory and return (x0, stats).
 
@@ -163,8 +164,11 @@ def run_generation(
     and blends the halves.
 
     step_hook, when given, is called as step_hook(step, t, x_t, halves) with
-    the pre-update sample and the per-half (eps, records) list; handy for
-    trajectory diagnostics.
+    the pre-update sample and the per-half noise predictions (a list of
+    FeatureMatrix); handy for trajectory diagnostics. tap, when given, is
+    passed to every Model.forward_batch call and sees each block module's
+    per-half outputs, which are reused buffers: it copies what it keeps. One
+    Workspace serves every step, so steps reuse the forward's buffers.
     """
     if sampler not in SAMPLERS:
         raise ValueError(f"sampler must be one of {SAMPLERS}")
@@ -185,17 +189,18 @@ def run_generation(
     )
     conds = [Conditioning.null_for(cfg), cond] if guidance is not None else [cond]
 
+    ws = Workspace()
     eps_history: list[np.ndarray] | None = [] if collect_eps else None
     for step in range(total):
         t = total - step
         if ctx is not None:
             ctx.begin_step(step)
         xm = FeatureMatrix(x, cfg.grid)
-        halves = model.forward_batch([xm] * batch, float(t), conds, cache_ctx=ctx)
+        halves = model.forward_batch([xm] * batch, float(t), conds, cache_ctx=ctx, ws=ws, tap=tap)
         if guidance is not None:
-            eps = cfg_combine(halves[0][0].values, halves[1][0].values, guidance)
+            eps = cfg_combine(halves[0].values, halves[1].values, guidance)
         else:
-            eps = halves[0][0].values
+            eps = halves[0].values
         if step_hook is not None:
             step_hook(step, t, xm, halves)
         if eps_history is not None:

@@ -110,7 +110,7 @@ def test_propagation_normalize_divides_by_mean_norm():
     x = FeatureMatrix(np.random.default_rng(4).normal(size=(4, 8)), (2, 2))
     raw = measure_error_propagation(model, x, 2.0, cond, 1, "mlp", 3, 0.5, seed=2)
     norm = measure_error_propagation(model, x, 2.0, cond, 1, "mlp", 3, 0.5, seed=2, normalize=True)
-    eps_clean, _ = model.forward(x, 2.0, cond)
+    eps_clean = model.forward(x, 2.0, cond)
     denom = np.mean(np.linalg.norm(eps_clean.values, axis=1))
     assert np.allclose(norm.errors, raw.errors / denom)
 

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from toca import (
     CacheContext,
     CacheSchedule,
+    Conditioning,
+    FeatureMatrix,
     ModelConfig,
     PROFILES,
     apply_spatial_boost,
@@ -24,6 +26,7 @@ from toca.cache import (
     cached_layer_apply,
     type_ratio_factors,
 )
+from toca.model import Workspace, init_model
 
 
 def neutral(**kw):
@@ -390,6 +393,7 @@ def test_cached_layer_apply_splice():
     out, fresh = cached_layer_apply(_fake_rows_fn(full), None, mask, slot)
     assert np.array_equal(out[[0, 2]], full[[0, 2]])
     assert np.all(out[[1, 3]] == -1.0)
+    assert out is slot  # the slot is the output: fresh rows land in it, nothing is copied
 
 
 def test_cached_layer_apply_requires_initialized_slot():
@@ -399,14 +403,12 @@ def test_cached_layer_apply_requires_initialized_slot():
 
 
 def test_cache_update_laws():
-    slot = np.zeros((4, 2))
     counters = np.array([3, 1, 0, 2])
     mask = select_compute_set(np.array([5.0, 1.0, 6.0, 2.0]), 0.5)  # cache {1,3}
-    fresh = np.ones((2, 2))
-    cache_update(slot, counters, mask, fresh)
-    assert np.all(slot[[0, 2]] == 1.0)
-    assert np.all(slot[[1, 3]] == 0.0)
+    cache_update(counters, mask)
     assert counters.tolist() == [0, 2, 0, 3]
+    cache_update(counters, select_compute_set(np.ones(4), 1.0))  # full reuse ages everyone
+    assert counters.tolist() == [1, 3, 1, 4]
 
 
 # -- dispatch through a context ----------------------------------------------
@@ -555,3 +557,53 @@ def test_dispatch_final_kind_uses_last_layer_stats():
         ctx.dispatch(1, "final", [None], [head_fn])
     kinds = {(e.layer, e.kind) for e in ctx.events}
     assert (1, "final") in kinds
+
+
+# -- slots as module outputs through the model --------------------------------
+
+
+def _guided_text_model():
+    c = ModelConfig(depth=2, hidden=8, heads=2, grid_h=3, grid_w=3, text_tokens=3)
+    conds = [Conditioning.null_for(c), Conditioning.random_text(c, 4)]
+    return c, init_model(c, seed=6), conds
+
+
+def test_cached_forward_output_survives_later_steps():
+    c, model, (_, cond) = _guided_text_model()
+    ctx = CacheContext(neutral(ratio=0.5, cycle=3), c, total_steps=4)
+    ws = Workspace()
+    rng = np.random.default_rng(2)
+    outs, kept = [], []
+    for step in range(4):  # fresh, partial, partial, fresh
+        ctx.begin_step(step)
+        x = FeatureMatrix(rng.normal(size=(9, 8)), c.grid)
+        outs.append(model.forward(x, float(4 - step), cond, cache_ctx=ctx, ws=ws))
+        kept.append(outs[-1].values.copy())
+    assert [e.cached for e in ctx.events if e.kind == "final"] == [0, 4, 4, 0]
+    for out, values in zip(outs, kept):
+        assert np.array_equal(out.values, values)
+
+
+def test_coupled_guided_batch_matches_single_streams():
+    """Each half keeps its own slots: half 1 never writes over half 0's outputs.
+
+    All-zero scores make every context cache the same lowest-index tokens, so
+    the coupled pair and two single-stream runs select identical masks.
+    """
+    c, model, conds = _guided_text_model()
+    sched = neutral(ratio=0.5, cycle=3, lam1=0.0, lam2=0.0, lam3=0.0, lam4=0.0, cfg_coupled=True)
+    total = 6
+    pair = CacheContext(sched, c, total, batch=2)
+    singles = [CacheContext(sched, c, total) for _ in conds]
+    ws_pair, ws_singles = Workspace(), [Workspace() for _ in conds]
+    rng = np.random.default_rng(9)
+    for step in range(total):
+        x = FeatureMatrix(rng.normal(size=(9, 8)), c.grid)
+        t = float(total - step)
+        pair.begin_step(step)
+        both = model.forward_batch([x, x], t, conds, cache_ctx=pair, ws=ws_pair)
+        for h, (ctx, ws) in enumerate(zip(singles, ws_singles)):
+            ctx.begin_step(step)
+            single = model.forward(x, t, conds[h], cache_ctx=ctx, ws=ws)
+            assert np.array_equal(both[h].values, single.values)
+    assert sum(0 < e.cached < 9 for e in pair.events) > 0  # partial dispatches ran

@@ -201,16 +201,37 @@ def test_negative_seed_exits_two(tmp_path, capsys, monkeypatch, path):
     assert not out.exists()
 
 
-OVERFLOW = {
+BEYOND_BOUND = {
     "guidance": SMALL.replace("seed = 3\n", "seed = 3\nguidance = 1e300\n"),
     "time_scale": SMALL.replace("grid_w = 4\n", "grid_w = 4\ntime_scale = 1e300\n"),
 }
 
 
-@pytest.mark.parametrize("key", sorted(OVERFLOW))
-def test_sample_outside_float32_range_exits_one(tmp_path, capsys, key):
-    # x0 stays finite in float64 but overflows to inf in the float32 x0.bin
-    cfg = _write_cfg(tmp_path, OVERFLOW[key])
+@pytest.mark.parametrize("key", sorted(BEYOND_BOUND))
+def test_scale_beyond_bound_exits_two(tmp_path, capsys, key):
+    # these used to run to the end and then fail the float32 x0.bin write (exit 1)
+    cfg = _write_cfg(tmp_path, BEYOND_BOUND[key])
+    out = tmp_path / "out"
+    assert cli.main(["sample", "-c", cfg, "--out", out.as_posix()]) == 2
+    assert f"{key}: expected a number in [-1e+06, 1e+06]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sample_at_scale_bound_is_finite(tmp_path):
+    from toca.artifacts import read_feature_grid
+
+    body = SMALL.replace("grid_w = 4\n", "grid_w = 4\ntime_scale = -1e6\n")
+    cfg = _write_cfg(tmp_path, body.replace("seed = 3\n", "seed = 3\nguidance = 1e6\n"))
+    out = tmp_path / "out"
+    assert cli.main(["sample", "-c", cfg, "--out", out.as_posix()]) == 0
+    assert np.all(np.isfinite(read_feature_grid((out / "x0.bin").as_posix())[0].values))
+
+
+def test_sample_outside_float32_range_exits_one(tmp_path, capsys):
+    # betas near 1 divide by sqrt(alpha) = 0.01 at every DDPM step: x0 stays
+    # finite in float64 but overflows to inf in the float32 x0.bin
+    betas = "steps = 24\nbeta_start = 0.9999\nbeta_end = 0.9999\n"
+    cfg = _write_cfg(tmp_path, SMALL.replace("steps = 6\n", betas))
     out = tmp_path / "out"
     assert cli.main(["sample", "-c", cfg, "--out", out.as_posix()]) == 1
     assert "not finite in float32" in capsys.readouterr().err

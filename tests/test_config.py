@@ -1,10 +1,18 @@
 import configparser
+import math
 import re
+from operator import attrgetter
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from toca import cli
 from toca.config import (
+    _SETTINGS,
+    SCALE_LIMIT,
     ConfigError,
     canonical_items,
     default_config,
@@ -14,6 +22,7 @@ from toca.config import (
     parse_config_string,
     run_config_hash,
 )
+from toca.sampler import NoiseSchedule, run_generation
 
 
 def test_defaults_stand_alone():
@@ -68,6 +77,28 @@ def test_malformed_values_rejected():
     for text in ("[model]\ntime_scale = inf\n", "[cache]\nlam2 = inf\n"):
         with pytest.raises(ConfigError, match="finite"):
             parse_config_string(text)
+
+
+def test_default_section_keys_rejected():
+    # configparser would copy them into every section, or drop them silently
+    for text in (
+        "[DEFAULT]\ndepth = 3\n",
+        "[DEFAULT]\ndepth = 3\n[model]\nhidden = 8\nheads = 2\n",
+        "[DEFAULT]\nsteps = 3\n[sampler]\nkind = ddim\n",
+    ):
+        with pytest.raises(ConfigError, match=r"\[DEFAULT\]"):
+            parse_config_string(text)
+    assert parse_config_string("[DEFAULT]\n") == default_config()
+
+
+@pytest.mark.parametrize("section,key", [("model", "time_scale"), ("sampler", "guidance")])
+def test_scale_bound_inside_and_outside(section, key):
+    value = attrgetter(_SETTINGS[section, key].attr)
+    for inside in (SCALE_LIMIT, -SCALE_LIMIT, 0.0):
+        assert value(parse_config_string(f"[{section}]\n{key} = {inside!r}\n")) == inside
+    for outside in (math.nextafter(limit, 2 * limit) for limit in (SCALE_LIMIT, -SCALE_LIMIT)):
+        with pytest.raises(ConfigError, match=f"{key}: expected a number in"):
+            parse_config_string(f"[{section}]\n{key} = {outside!r}\n")
 
 
 def test_model_section_validated():
@@ -282,3 +313,82 @@ def test_readme_lists_every_key_with_its_default():
     text = re.sub(r"\s+#.*$", "", block.group(1), flags=re.M)
     assert parse_config_string(text) == default_config()
     assert _ini_keys(text) == _ini_keys(dump_config(default_config()))
+
+
+# -- fuzz: every config either fails to load or runs to a finite sample --------
+
+_FUZZ_KEYS = [k for k in _SETTINGS if k != ("model", "weights")]  # no files to read
+_FUZZ_CHOICES = {
+    ("sampler", "kind"): ["ddpm", "ddim"],
+    ("cache", "profile"): ["off", "naive-full", "toca-dit", "toca-pixart", "custom"],
+    ("cache", "type_mode"): ["uniform", "flops-share", "lambda-type"],
+    ("cache", "cfg_coupled"): ["true", "false"],
+    ("analyze", "kind"): ["self_attn", "cross_attn", "mlp", "final"],
+    ("analyze", "mode"): ["absolute", "relative"],
+    ("analyze", "normalize"): ["true", "false"],
+    ("sampler", "guidance"): ["none", "0", "1.5", "-2", "1e6", "-1e6"],
+    ("output", "dir"): ["out"],
+}
+_FUZZ_BY_TYPE = {  # keyed by the type of the key's default
+    int: ["0", "1", "2", "3"],
+    float: ["0", "0.25", "0.5", "0.93", "1", "2.5", "1e6", "-1e6"],
+    type(None): ["none", "0", "1", "2", "3"],  # the fixed cycle window
+}
+_FUZZ_JUNK = [
+    "-1", "0.0001", "0.9999", "1000000.0000000001", "1e300", "nan", "inf", "-inf", "", "x",
+]
+
+
+def _fuzz_pool(key):
+    if key in _FUZZ_CHOICES:
+        return _FUZZ_CHOICES[key]
+    return _FUZZ_BY_TYPE[type(attrgetter(_SETTINGS[key].attr)(default_config()))]
+
+
+@st.composite
+def _fuzz_line(draw):
+    if draw(st.integers(0, 24)) == 0:  # a section or key the parser must refuse
+        section = draw(st.sampled_from(["DEFAULT", "extra", "model", "cache"]))
+        return (section, draw(st.sampled_from(["bogus", "depth", "ratio"]))), "1"
+    key = draw(st.sampled_from(_FUZZ_KEYS))
+    if draw(st.integers(0, 14)) == 0:
+        return key, draw(st.sampled_from(_FUZZ_JUNK))
+    return key, draw(st.sampled_from(_fuzz_pool(key)))
+
+
+# small shapes and few steps keep each run to milliseconds; fuzzed lines override them
+_FUZZ_BASE = {
+    ("model", "depth"): "2", ("model", "hidden"): "4", ("model", "heads"): "2",
+    ("model", "grid_h"): "3", ("model", "grid_w"): "3", ("sampler", "steps"): "3",
+}
+
+
+@st.composite
+def _fuzz_config(draw) -> str:
+    lines = {
+        **_FUZZ_BASE,
+        ("cache", "profile"): draw(st.sampled_from(_FUZZ_CHOICES[("cache", "profile")])),
+        ("sampler", "guidance"): draw(st.sampled_from(_FUZZ_CHOICES[("sampler", "guidance")])),
+        **dict(draw(st.lists(_fuzz_line(), max_size=8))),
+    }
+    sections: dict[str, list[str]] = {}
+    for (section, key), value in lines.items():
+        sections.setdefault(section, []).append(f"{key} = {value}")
+    return "".join(f"[{s}]\n" + "\n".join(body) + "\n" for s, body in sections.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_fuzz_config(), _fuzz_config(), _fuzz_config(), st.text(max_size=60)))
+def test_fuzz_config_loads_or_runs_finite(text):
+    try:
+        rc = parse_config_string(text)
+    except ConfigError:
+        return
+    # the sample command's path
+    model, cond = cli._build_model(rc), cli._conditioning(rc)
+    ns = NoiseSchedule.linear(rc.steps, rc.beta_start, rc.beta_end)
+    x0, _ = run_generation(
+        model, cond, ns, cache_schedule=rc.cache, seed=rc.seed,
+        sampler=rc.sampler, guidance=rc.guidance,
+    )
+    assert np.all(np.isfinite(x0.values.astype(np.float32)))  # storable in x0.bin

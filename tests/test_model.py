@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from toca.model import (
     KIND_SELF,
     AttnWeights,
     MlpWeights,
+    Workspace,
     layer_norm_rows,
     mlp_forward,
     self_attention_forward,
@@ -245,10 +248,12 @@ def test_zero_init_forward_is_input_stream():
     model = init_model(c, seed=0, zero_init=True)
     cond = Conditioning.random_class(c, 1)
     x = FeatureMatrix(np.random.default_rng(2).normal(size=(4, 8)), (2, 2))
-    eps, records = model.forward(x, 3.0, cond)
+    outputs = []
+    eps = model.forward(x, 3.0, cond, tap=lambda layer, kind, outs: outputs.append(outs[0].copy()))
     # all residual modules are zero and the output head is identity
     assert np.array_equal(eps.values, model.input_stream(x, 3.0, cond))
-    assert all(np.all(r.output == 0.0) for r in records)
+    assert len(outputs) == c.depth * 2
+    assert all(np.all(o == 0.0) for o in outputs)
 
 
 def test_forward_record_layout():
@@ -256,11 +261,11 @@ def test_forward_record_layout():
     model = init_model(c, seed=0)
     cond = Conditioning.random_text(c, 1)
     x = FeatureMatrix(np.zeros((4, 8)), (2, 2))
-    eps, records = model.forward(x, 1.0, cond)
+    sites = []
+    eps = model.forward(x, 1.0, cond, tap=lambda layer, kind, outs: sites.append((layer, kind)))
     assert eps.values.shape == (4, 8)
-    assert len(records) == c.depth * 3
-    kinds = [r.kind for r in records[:3]]
-    assert kinds == list(c.group_kinds)
+    assert len(sites) == c.depth * 3
+    assert sites[:3] == [(0, kind) for kind in c.group_kinds]
 
 
 @pytest.mark.parametrize("kind", ["self_attn", "cross_attn", "mlp", "final"])
@@ -282,9 +287,9 @@ def test_injection_perturbs_single_site():
     model = init_model(c, seed=3)
     cond = Conditioning.random_class(c, 1)
     x = FeatureMatrix(np.random.default_rng(0).normal(size=(4, 8)), (2, 2))
-    clean, _ = model.forward(x, 2.0, cond)
+    clean = model.forward(x, 2.0, cond)
     delta = np.full(8, 0.5)
-    pert, _ = model.forward(
+    pert = model.forward(
         x, 2.0, cond, inject=Injection(layer=c.depth, kind=KIND_FINAL, token=2, delta=delta)
     )
     diff = pert.values - clean.values
@@ -312,7 +317,7 @@ def test_class_conditioning_enters_input_stream():
     model = init_model(c, seed=0, zero_init=True)
     cond = Conditioning.random_class(c, 7)
     x = FeatureMatrix(np.zeros((4, 8)), (2, 2))
-    eps, _ = model.forward(x, 5.0, cond)
+    eps = model.forward(x, 5.0, cond)
     assert np.allclose(eps.values, cond.class_embedding[None, :])
 
 
@@ -361,8 +366,85 @@ def test_forward_batch_lockstep_matches_separate():
     x = FeatureMatrix(rng.normal(size=(4, 8)), (2, 2))
     cond_a = Conditioning.random_class(c, 1)
     cond_b = Conditioning.null_for(c)
-    sep_a, _ = model.forward(x, 2.0, cond_a)
-    sep_b, _ = model.forward(x, 2.0, cond_b)
+    sep_a = model.forward(x, 2.0, cond_a)
+    sep_b = model.forward(x, 2.0, cond_b)
     both = model.forward_batch([x, x], 2.0, [cond_b, cond_a])
-    assert np.array_equal(both[1][0].values, sep_a.values)
-    assert np.array_equal(both[0][0].values, sep_b.values)
+    assert np.array_equal(both[1].values, sep_a.values)
+    assert np.array_equal(both[0].values, sep_b.values)
+
+
+# -- reused buffers and the tap ---------------------------------------------
+
+
+def _text_model(seed=5):
+    c = cfg(text_tokens=3, grid_h=3, grid_w=3)
+    conds = [Conditioning.null_for(c), Conditioning.random_text(c, seed)]
+    return c, init_model(c, seed=seed), conds
+
+
+def test_forward_output_survives_later_calls():
+    c, model, (_, cond) = _text_model()
+    rng = np.random.default_rng(1)
+    ws = Workspace()
+    first = model.forward(FeatureMatrix(rng.normal(size=(9, 8)), c.grid), 2.0, cond, ws=ws)
+    kept = first.values.copy()
+    model.forward(FeatureMatrix(rng.normal(size=(9, 8)), c.grid), 1.0, cond, ws=ws)
+    assert np.array_equal(first.values, kept)
+
+
+def test_guided_batch_matches_single_streams_with_reused_workspaces():
+    """Stream 1 must not overwrite stream 0's buffers before its residual add."""
+    c, model, conds = _text_model()
+    rng = np.random.default_rng(8)
+    ws_batch, ws_single = Workspace(), Workspace()
+    for t in (3.0, 2.0, 1.0):
+        x = FeatureMatrix(rng.normal(size=(9, 8)), c.grid)
+        both = model.forward_batch([x, x], t, conds, ws=ws_batch)
+        for h, cond in enumerate(conds):
+            assert np.array_equal(both[h].values, model.forward(x, t, cond, ws=ws_single).values)
+
+
+def test_tap_sees_every_module_output():
+    """The tap's outputs are bitwise the module outputs a plain rebuild computes."""
+    c, model, conds = _text_model(seed=2)
+    x = FeatureMatrix(np.random.default_rng(3).normal(size=(9, 8)), c.grid)
+    seen = []
+
+    def tap(layer, kind, outs):
+        seen.append((layer, kind, [o.copy() for o in outs]))
+
+    eps = model.forward_batch([x, x], 2.0, conds, ws=Workspace(), tap=tap)
+    assert len(seen) == c.depth * len(c.group_kinds)
+    for h, cond in enumerate(conds):
+        stream = model.input_stream(x, 2.0, cond)
+        sites = [(layer, kind) for layer in range(c.depth) for kind in c.group_kinds]
+        for (layer, kind), (t_layer, t_kind, outs) in zip(sites, seen):
+            out, _ = model._apply(layer, kind, cond, layer_norm_rows(stream))
+            assert (t_layer, t_kind) == (layer, kind)
+            assert np.array_equal(outs[h], out)
+            stream = stream + out
+        assert np.array_equal(eps[h].values, model._apply(c.depth, KIND_FINAL, cond, stream)[0])
+
+
+def test_forward_without_tap_keeps_no_module_outputs():
+    """What a forward holds on to does not grow with the number of modules."""
+    nd_bytes = 64 * 16 * 8
+    held = {}
+    for depth in (1, 8):
+        c = cfg(depth=depth, hidden=16, grid_h=8, grid_w=8)
+        model = init_model(c, seed=1)
+        cond = Conditioning.random_class(c, 2)
+        x = FeatureMatrix(np.random.default_rng(0).normal(size=(64, 16)), c.grid)
+        ws = Workspace()
+        model.forward(x, 3.0, cond, ws=ws)  # the first call sizes the workspace
+        tracemalloc.start()
+        try:
+            eps = model.forward(x, 3.0, cond, ws=ws)
+            held[depth] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert eps.values.shape == (64, 16)
+    current, peak = held[8]
+    assert current < 1.5 * nd_bytes  # the returned prediction, nothing per module
+    # 16 modules ran; per-module outputs kept alive would add 15 (N, D) arrays
+    assert peak - held[1][1] < nd_bytes

@@ -163,8 +163,8 @@ def test_run_generation_guidance_matches_manual_combination():
     for step in range(total):
         t = total - step
         fm = FeatureMatrix(x, c.grid)
-        eps_u, _ = model.forward(fm, float(t), null)
-        eps_c, _ = model.forward(fm, float(t), cond)
+        eps_u = model.forward(fm, float(t), null)
+        eps_c = model.forward(fm, float(t), cond)
         eps = cfg_combine(eps_u.values, eps_c.values, w)
         x = ddpm_step(x, eps, t, NoiseSchedule.linear(total), seed=5)
     assert np.array_equal(guided.values, x)
