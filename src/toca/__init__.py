@@ -39,7 +39,6 @@ from .flops import (
 from .model import (
     Conditioning,
     FeatureMatrix,
-    Injection,
     Model,
     ModelConfig,
     Workspace,

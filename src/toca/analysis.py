@@ -13,14 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .model import (
-    KIND_FINAL,
-    KINDS,
-    Conditioning,
-    FeatureMatrix,
-    Injection,
-    Model,
-)
+from .model import KIND_FINAL, KIND_SELF, KINDS, Conditioning, FeatureMatrix, Model
 from .sampler import NoiseSchedule, RunStats, run_generation
 
 
@@ -68,10 +61,10 @@ def measure_temporal_redundancy(
 ) -> RedundancyProfile:
     """Track layer outputs along an uncached trajectory and diff adjacent steps.
 
-    Layer l's output at a step is the residual stream after l's whole module
-    group, rebuilt from the module outputs a tap copies out of that step's
-    forward. Caching is disabled; this measures the trajectory caching would
-    be approximating.
+    Layer l's output at a step is the residual stream as it enters layer
+    l + 1's first module (or the head, for the last layer), which a site hook
+    copies out of that step's forward. Caching is disabled; this measures
+    the trajectory caching would be approximating.
     """
     cfg = model.config
     if layers is None:
@@ -82,24 +75,17 @@ def measure_temporal_redundancy(
 
     wanted = set(layers)
     per_step: list[np.ndarray] = []
-    outputs = _Recorder()
+    after: dict[int, np.ndarray] = {}
 
-    def hook(step, t, xm, halves):
-        stream = model.input_stream(xm, float(t), cond)
-        outs = {}
-        k = 0
-        for layer in range(cfg.depth):
-            for _ in cfg.group_kinds:
-                stream = stream + outputs[k]
-                k += 1
-            if layer in wanted:
-                outs[layer] = stream
-        per_step.append(np.stack([outs[l] for l in layers]))
-        outputs.clear()
+    def site_hook(layer, kind, streams):
+        if kind in (KIND_SELF, KIND_FINAL) and layer - 1 in wanted:
+            after[layer - 1] = streams[0].copy()
+        if kind == KIND_FINAL:
+            per_step.append(np.stack([after[l] for l in layers]))
 
     run_generation(
         model, cond, schedule, cache_schedule=None, seed=seed, sampler=sampler,
-        step_hook=hook, tap=outputs.tap,
+        site_hook=site_hook,
     )
 
     total = schedule.total_steps
@@ -119,29 +105,6 @@ class PropagationProfile:
     sigma: float  # the std actually applied, after any relative scaling
     errors: np.ndarray  # (N,)
     normalized: bool = False
-
-
-class _Recorder(list):
-    """Copies of stream 0's block-module outputs, in forward order."""
-
-    def tap(self, layer, kind, outs):
-        self.append(outs[0].copy())
-
-
-def _stream_at_site(model, x, t, cond, outputs, layer, kind):
-    """Rebuild the residual stream as it stood entering (layer, kind)."""
-    cfg = model.config
-    stream = model.input_stream(x, float(t), cond)
-    k = 0
-    for l in range(cfg.depth):
-        for kd in cfg.group_kinds:
-            if (l, kd) == (layer, kind):
-                return stream
-            stream = stream + outputs[k]
-            k += 1
-    if layer == cfg.depth and kind == KIND_FINAL:
-        return stream
-    raise ValueError(f"no module at layer {layer} kind {kind!r}")
 
 
 def measure_error_propagation(
@@ -168,20 +131,34 @@ def measure_error_propagation(
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
     cfg = model.config
-    outputs = _Recorder()
-    eps_clean = model.forward(x, float(t), cond, tap=outputs.tap if relative else None)
+    if (layer, kind) not in cfg.sites:
+        raise ValueError(f"no module at layer {layer} kind {kind!r}")
+    if not 0 <= token < cfg.n_tokens:
+        raise ValueError(f"token {token} not in [0, {cfg.n_tokens})")
+
+    def at_site(edit):
+        """A site hook that hands stream 0 entering (layer, kind) to ``edit``."""
+        def hook(l, k, streams):
+            if (l, k) == (layer, kind):
+                edit(streams[0])
+        return hook
+
+    norms = []
+    read_norm = at_site(lambda stream: norms.append(float(np.linalg.norm(stream[token]))))
+    eps_clean = model.forward(x, float(t), cond, site_hook=read_norm if relative else None)
 
     sigma_used = float(sigma)
     if relative:
-        stream = _stream_at_site(model, x, t, cond, outputs, layer, kind)
-        sigma_used *= float(np.linalg.norm(stream[token]))
-
+        sigma_used *= norms[0]
     kind_idx = KINDS.index(kind)
     delta = linalg.gaussian(
         (cfg.hidden,), sigma_used, np.random.SeedSequence((seed, layer, kind_idx, token))
     )
-    inject = Injection(layer=layer, kind=kind, token=token, delta=delta)
-    eps_pert = model.forward(x, float(t), cond, inject=inject)
+
+    def inject(stream):
+        stream[token] += delta
+
+    eps_pert = model.forward(x, float(t), cond, site_hook=at_site(inject))
 
     errors = row_distances(eps_pert.values, eps_clean.values)
     if normalize:

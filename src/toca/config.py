@@ -25,8 +25,8 @@ from typing import Callable, NamedTuple
 
 from .artifacts import config_hash
 from .cache import PROFILES, CacheSchedule
-from .model import KIND_CROSS, KIND_FINAL, KIND_SELF, KINDS, ModelConfig
-from .sampler import SAMPLERS
+from .model import KIND_SELF, KINDS, ModelConfig
+from .sampler import SAMPLERS, NoiseSchedule
 
 
 class ConfigError(Exception):
@@ -39,6 +39,13 @@ PROFILE_NAMES = (*PROFILES, "custom")
 # 1e6 a 1000-step run of the default betas stays below 1e13 in magnitude,
 # far inside float32 (x0.bin) and the layer norm's float64 squares.
 SCALE_LIMIT = 1e6
+
+# Longest run and smallest alpha_bar(T) accepted. x0 grows as a power of
+# 1/alpha_bar(T), which levels off past a few hundred steps. At the floor, with
+# time_scale and guidance at SCALE_LIMIT, the largest |x0| measured was ~1e21
+# (~1e34 at hidden = 1), inside float32.
+MAX_STEPS = 1000
+ALPHA_BAR_FLOOR = 1e-10
 
 
 @dataclass
@@ -276,10 +283,13 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
         rc.model = replace(rc.model, **nested["model"])
     except ValueError as e:
         raise ConfigError(f"[model] {e}") from e
-    if rc.steps < 1:
-        raise ConfigError("[sampler] steps must be >= 1")
+    if not 1 <= rc.steps <= MAX_STEPS:
+        raise ConfigError(f"[sampler] steps must be in [1, {MAX_STEPS}]")
     if not 0.0 < rc.beta_start < 1.0 or not 0.0 < rc.beta_end < 1.0:
         raise ConfigError("[sampler] betas must lie in (0, 1)")
+    abar = NoiseSchedule.linear(rc.steps, rc.beta_start, rc.beta_end).alpha_bar(rc.steps)
+    if abar < ALPHA_BAR_FLOOR:
+        raise ConfigError(f"[sampler] alpha_bar(T) = {abar:.3g} is below {ALPHA_BAR_FLOOR:g}")
     rc.cache = _profile_schedule(rc.profile, **nested["cache"])
     try:
         rc.cache.validate()
@@ -287,13 +297,9 @@ def _build(parser: configparser.ConfigParser) -> RunConfig:
         raise ConfigError(f"[cache] {e}") from e
     _check_grid_size(rc)
 
-    if rc.analyze_kind == KIND_FINAL:
-        if rc.analyze_layer != rc.model.depth:
-            raise ConfigError("[analyze] kind 'final' requires layer = depth")
-    elif not 0 <= rc.analyze_layer < rc.model.depth:
-        raise ConfigError(f"[analyze] layer must be in [0, {rc.model.depth})")
-    if rc.analyze_kind == KIND_CROSS and rc.model.text_tokens == 0:
-        raise ConfigError("[analyze] cross-attention site needs text_tokens > 0")
+    if (rc.analyze_layer, rc.analyze_kind) not in rc.model.sites:
+        site = f"layer {rc.analyze_layer} kind {rc.analyze_kind!r}"
+        raise ConfigError(f"[analyze] no module at {site}; the sites are {rc.model.sites}")
     if not 0 <= rc.analyze_token < rc.model.n_tokens:
         raise ConfigError(f"[analyze] token must be in [0, {rc.model.n_tokens})")
     return rc

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -76,6 +77,12 @@ class ModelConfig:
         if self.text_tokens > 0:
             return (KIND_SELF, KIND_CROSS, KIND_MLP)
         return (KIND_SELF, KIND_MLP)
+
+    @cached_property
+    def sites(self) -> tuple[tuple[int, str], ...]:
+        """Every (layer, kind) module in forward order; the head is (depth, final)."""
+        blocks = tuple((layer, kind) for layer in range(self.depth) for kind in self.group_kinds)
+        return blocks + ((self.depth, KIND_FINAL),)
 
 
 @dataclass
@@ -149,16 +156,6 @@ class Conditioning:
         if config.text_tokens > 0:
             return cls(text=np.zeros((config.text_tokens, config.hidden)))
         return cls(class_embedding=np.zeros(config.hidden))
-
-
-@dataclass(frozen=True)
-class Injection:
-    """A single-token perturbation applied to a module's input stream."""
-
-    layer: int
-    kind: str
-    token: int
-    delta: np.ndarray
 
 
 @dataclass
@@ -257,10 +254,14 @@ def _take_rows(x: np.ndarray, rows, ws: Workspace | None) -> np.ndarray:
     if rows is None:
         return x
     idx = np.asarray(rows, dtype=np.intp)
+    n = x.shape[0]
+    # viewed as unsigned, a negative id exceeds any n: one max checks both ends
+    if idx.size and idx.view(np.uintp).max() >= n:
+        raise IndexError(f"row ids must lie in [0, {n})")
     if ws is None:
         return x[idx]
-    # mode="raise" would stage the rows through a temporary; the cache engine
-    # passes ids from a ComputeMask, which are always in range
+    # the ids are in range, so "clip" clips nothing; mode="raise" would stage
+    # the rows through a temporary
     return np.take(x, idx, axis=0, out=ws.take("rows", idx.shape[0], x.shape[1]), mode="clip")
 
 
@@ -434,31 +435,17 @@ class Model:
             return np.matmul(hr, self.out_proj, out=_buffer(ws, "out", *hr.shape, out)), None
         raise ValueError(f"unknown module kind {kind!r}")
 
-    def _check_injection(self, inject: Injection) -> None:
-        cfg = self.config
-        site_ok = (
-            0 <= inject.layer < cfg.depth and inject.kind in cfg.group_kinds
-        ) or (inject.layer == cfg.depth and inject.kind == KIND_FINAL)
-        if not site_ok:
-            raise ValueError(f"no module at layer {inject.layer} kind {inject.kind!r}")
-        if not 0 <= inject.token < cfg.n_tokens:
-            raise ValueError(f"token {inject.token} out of range")
-        delta = np.asarray(inject.delta, dtype=np.float64)
-        if delta.shape != (cfg.hidden,):
-            raise ValueError(f"delta must have shape ({cfg.hidden},)")
-
     def forward(
         self,
         x: FeatureMatrix,
         t: float,
         cond: Conditioning,
         cache_ctx=None,
-        inject: Injection | None = None,
         ws: Workspace | None = None,
-        tap=None,
+        site_hook=None,
     ) -> FeatureMatrix:
         return self.forward_batch(
-            [x], t, [cond], cache_ctx=cache_ctx, inject=inject, ws=ws, tap=tap
+            [x], t, [cond], cache_ctx=cache_ctx, ws=ws, site_hook=site_hook
         )[0]
 
     def forward_batch(
@@ -467,33 +454,31 @@ class Model:
         t: float,
         conds: list[Conditioning],
         cache_ctx=None,
-        inject: Injection | None = None,
         ws: Workspace | None = None,
-        tap=None,
+        site_hook=None,
     ) -> list[FeatureMatrix]:
         """Run the denoiser on one or more streams in lockstep.
 
         Lockstep batching is what lets a cache context coordinate token
-        selection across the halves of a guidance pair. The injection, when
-        given, perturbs stream 0 right before the targeted module.
+        selection across the halves of a guidance pair.
 
         Every intermediate lives in ``ws``; pass the same workspace on every
         step of a trajectory so steps reuse its buffers (a new one is made
         per call otherwise). Module outputs are the context's cache slots
         under a context, and one reused buffer per stream without one;
-        nothing else keeps them past the residual add. ``tap``, when given,
-        is called as ``tap(layer, kind, outs)`` after every block module
-        with the per-stream outputs, which later modules overwrite: copy
-        what you keep. Returns one newly allocated noise prediction per
-        stream.
+        nothing else keeps them past the residual add. ``site_hook``, when
+        given, is called as ``site_hook(layer, kind, streams)`` right before
+        every module of ``config.sites``, the head included, with the live
+        per-stream residual streams: it may read them, or edit them in place
+        to perturb what the module and everything after it see. The streams
+        are reused buffers, so a hook copies what it keeps. Returns one newly
+        allocated noise prediction per stream.
         """
         cfg = self.config
         if len(xs) != len(conds) or not xs:
             raise ValueError("need one conditioning per input")
         if cache_ctx is not None and cache_ctx.batch != len(xs):
             raise ValueError(f"cache context batch {cache_ctx.batch} != {len(xs)} inputs")
-        if inject is not None:
-            self._check_injection(inject)
         if ws is None:
             ws = Workspace()
         n, d = cfg.n_tokens, cfg.hidden
@@ -508,12 +493,6 @@ class Model:
         # every output is added only after all streams have run, so each
         # stream of an uncached forward needs its own output buffer
         outputs = per_stream("out") if cache_ctx is None else None
-
-        def maybe_inject(layer, kind):
-            if inject is not None and inject.layer == layer and inject.kind == kind:
-                streams[0][inject.token] = streams[0][inject.token] + np.asarray(
-                    inject.delta, dtype=np.float64
-                )
 
         def cached_module(layer, kind, h):
             # A full call computes into this site's slot buffer, which the
@@ -535,19 +514,14 @@ class Model:
                 for h in halves
             ]
 
-        for layer in range(cfg.depth):
-            for kind in cfg.group_kinds:
-                maybe_inject(layer, kind)
-                hs = [layer_norm_rows(streams[h], out=normed[h], ws=ws) for h in halves]
-                outs = run(layer, kind, hs)
-                if tap is not None:
-                    tap(layer, kind, outs)
-                for s, o in zip(streams, outs):
-                    s += o
-
-        maybe_inject(cfg.depth, KIND_FINAL)
-        outs = run(cfg.depth, KIND_FINAL, streams)
-        return [FeatureMatrix(o.copy(), cfg.grid) for o in outs]
+        for layer, kind in cfg.sites:
+            if site_hook is not None:
+                site_hook(layer, kind, streams)
+            if kind == KIND_FINAL:
+                return [FeatureMatrix(o.copy(), cfg.grid) for o in run(layer, kind, streams)]
+            hs = [layer_norm_rows(streams[h], out=normed[h], ws=ws) for h in halves]
+            for s, o in zip(streams, run(layer, kind, hs)):
+                s += o
 
 
 def init_model(config: ModelConfig, seed: int, zero_init: bool = False) -> Model:

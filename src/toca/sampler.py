@@ -152,7 +152,7 @@ def run_generation(
     collect_eps: bool = False,
     record_masks: bool = False,
     step_hook=None,
-    tap=None,
+    site_hook=None,
 ) -> tuple[FeatureMatrix, RunStats]:
     """Run the full reverse trajectory and return (x0, stats).
 
@@ -165,10 +165,11 @@ def run_generation(
 
     step_hook, when given, is called as step_hook(step, t, x_t, halves) with
     the pre-update sample and the per-half noise predictions (a list of
-    FeatureMatrix); handy for trajectory diagnostics. tap, when given, is
-    passed to every Model.forward_batch call and sees each block module's
-    per-half outputs, which are reused buffers: it copies what it keeps. One
-    Workspace serves every step, so steps reuse the forward's buffers.
+    FeatureMatrix); handy for trajectory diagnostics. site_hook, when given,
+    is passed to every Model.forward_batch call: it sees the live per-half
+    residual streams right before every module, head included, and may edit
+    them. They are reused buffers, so it copies what it keeps. One Workspace
+    serves every step, so steps reuse the forward's buffers.
     """
     if sampler not in SAMPLERS:
         raise ValueError(f"sampler must be one of {SAMPLERS}")
@@ -196,7 +197,9 @@ def run_generation(
         if ctx is not None:
             ctx.begin_step(step)
         xm = FeatureMatrix(x, cfg.grid)
-        halves = model.forward_batch([xm] * batch, float(t), conds, cache_ctx=ctx, ws=ws, tap=tap)
+        halves = model.forward_batch(
+            [xm] * batch, float(t), conds, cache_ctx=ctx, ws=ws, site_hook=site_hook
+        )
         if guidance is not None:
             eps = cfg_combine(halves[0].values, halves[1].values, guidance)
         else:

@@ -118,10 +118,29 @@ def test_propagation_normalize_divides_by_mean_norm():
 def test_propagation_rejects_bad_site():
     c, model, cond = toy()
     x = FeatureMatrix(np.zeros((4, 8)), (2, 2))
-    with pytest.raises(ValueError):
-        measure_error_propagation(model, x, 1.0, cond, 5, "mlp", 0, 0.1)
+    for layer, kind, token in (
+        (5, "mlp", 0),
+        (5, "self_attn", 0),
+        (c.depth, "mlp", 0),  # only the head sits at layer depth
+        (0, "final", 0),
+        (-1, "self_attn", 0),
+        (0, "cross_attn", 0),  # class-conditional: no cross-attention
+        (0, "self_attn", 4),  # 4 tokens
+        (0, "self_attn", -1),
+    ):
+        for relative in (False, True):
+            with pytest.raises(ValueError):
+                measure_error_propagation(
+                    model, x, 1.0, cond, layer, kind, token, 0.1, relative=relative
+                )
     with pytest.raises(ValueError):
         measure_error_propagation(model, x, 1.0, cond, 0, "mlp", 0, -0.1)
+    for layer, kind in c.sites:
+        for relative in (False, True):
+            prof = measure_error_propagation(
+                model, x, 1.0, cond, layer, kind, 3, 0.1, relative=relative
+            )
+            assert prof.errors.shape == (4,)
 
 
 def test_frequency_map_full_reuse_counting():

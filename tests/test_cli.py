@@ -1,6 +1,7 @@
 """End-to-end tests that drive the command line in-process."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -227,11 +228,44 @@ def test_sample_at_scale_bound_is_finite(tmp_path):
     assert np.all(np.isfinite(read_feature_grid((out / "x0.bin").as_posix())[0].values))
 
 
-def test_sample_outside_float32_range_exits_one(tmp_path, capsys):
-    # betas near 1 divide by sqrt(alpha) = 0.01 at every DDPM step: x0 stays
-    # finite in float64 but overflows to inf in the float32 x0.bin
+@pytest.mark.parametrize("sampler", ["ddpm", "ddim"])
+def test_sample_at_schedule_bound_is_finite(tmp_path, sampler):
+    """The worst accepted schedule: the longest run, at the alpha_bar(T) floor, flat betas."""
+    from toca.artifacts import read_feature_grid
+    from toca.config import ALPHA_BAR_FLOOR, MAX_STEPS
+
+    beta = -math.expm1(math.log(ALPHA_BAR_FLOOR * (1 + 1e-4)) / MAX_STEPS)
+    schedule = f"steps = {MAX_STEPS}\nkind = {sampler}\n"
+    schedule += f"beta_start = {beta!r}\nbeta_end = {beta!r}\n"
+    body = SMALL.replace("grid_w = 4\n", "grid_w = 4\ntime_scale = 1e6\n")
+    body = body.replace("steps = 6\nseed = 3\n", schedule + "seed = 3\nguidance = -1e6\n")
+    out = tmp_path / "out"
+    assert cli.main(["sample", "-c", _write_cfg(tmp_path, body), "--out", out.as_posix()]) == 0
+    assert np.all(np.isfinite(read_feature_grid((out / "x0.bin").as_posix())[0].values))
+
+
+def test_schedule_outside_the_bound_exits_two(tmp_path, capsys):
+    # betas near 1 divide by sqrt(alpha) = 0.01 at every DDPM step; this used
+    # to run to the end and exit 1 at the float32 x0.bin write
     betas = "steps = 24\nbeta_start = 0.9999\nbeta_end = 0.9999\n"
-    cfg = _write_cfg(tmp_path, SMALL.replace("steps = 6\n", betas))
+    out = tmp_path / "out"
+    for sampler in ("ddpm", "ddim"):
+        cfg = _write_cfg(tmp_path, SMALL.replace("steps = 6\n", f"{betas}kind = {sampler}\n"))
+        assert cli.main(["sample", "-c", cfg, "--out", out.as_posix()]) == 2
+        assert "alpha_bar" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sample_outside_float32_range_exits_one(tmp_path, capsys):
+    # a weights file can still scale x0 past float32: a head of 1e30 * I
+    # leaves x0 finite in float64 but overflows to inf in the float32 x0.bin
+    from toca.model import ModelConfig, init_model, save_weights
+
+    model = init_model(ModelConfig(2, 8, 2, 4, 4), seed=0, zero_init=True)
+    model.out_proj *= 1e30
+    save_weights(model, tmp_path / "w.bin")
+    body = SMALL.replace("grid_w = 4\n", f"grid_w = 4\nweights = {tmp_path / 'w.bin'}\n")
+    cfg = _write_cfg(tmp_path, body.replace("steps = 6\n", "steps = 2\n"))
     out = tmp_path / "out"
     assert cli.main(["sample", "-c", cfg, "--out", out.as_posix()]) == 1
     assert "not finite in float32" in capsys.readouterr().err

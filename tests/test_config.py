@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from toca import cli
 from toca.config import (
     _SETTINGS,
+    ALPHA_BAR_FLOOR,
+    MAX_STEPS,
     SCALE_LIMIT,
     ConfigError,
     canonical_items,
@@ -99,6 +101,33 @@ def test_scale_bound_inside_and_outside(section, key):
     for outside in (math.nextafter(limit, 2 * limit) for limit in (SCALE_LIMIT, -SCALE_LIMIT)):
         with pytest.raises(ConfigError, match=f"{key}: expected a number in"):
             parse_config_string(f"[{section}]\n{key} = {outside!r}\n")
+
+
+def _flat_beta(steps, alpha_bar_T):
+    """The constant beta whose schedule of ``steps`` ends at ``alpha_bar_T``."""
+    return -math.expm1(math.log(alpha_bar_T) / steps)
+
+
+def test_schedule_bound_inside_and_outside():
+    def sampler(steps, beta_start, beta_end=None):
+        end = beta_start if beta_end is None else beta_end
+        return f"[sampler]\nsteps = {steps}\nbeta_start = {beta_start!r}\nbeta_end = {end!r}\n"
+
+    assert parse_config_string(sampler(MAX_STEPS, 1e-4, 2e-2)).steps == MAX_STEPS
+    with pytest.raises(ConfigError, match=f"steps must be in \\[1, {MAX_STEPS}\\]"):
+        parse_config_string(sampler(MAX_STEPS + 1, 1e-4, 2e-2))
+    for steps in (1, 24, MAX_STEPS):
+        inside = _flat_beta(steps, ALPHA_BAR_FLOOR * (1 + 1e-4))
+        outside = _flat_beta(steps, ALPHA_BAR_FLOOR * (1 - 1e-4))
+        assert parse_config_string(sampler(steps, inside)).beta_end == inside
+        with pytest.raises(ConfigError, match="alpha_bar"):
+            parse_config_string(sampler(steps, outside))
+    # a ramp is bounded by the product of its alphas, not by its largest beta
+    assert parse_config_string(sampler(MAX_STEPS, 1e-4, 0.04)).beta_end == 0.04
+    with pytest.raises(ConfigError, match="alpha_bar"):
+        parse_config_string(sampler(MAX_STEPS, 1e-4, 0.05))
+    with pytest.raises(ConfigError, match="alpha_bar"):  # alpha_bar(T) = 1e-96
+        parse_config_string(sampler(24, 0.9999))
 
 
 def test_model_section_validated():

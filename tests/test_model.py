@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from toca import Conditioning, FeatureMatrix, Injection, ModelConfig, init_model
+from toca import Conditioning, FeatureMatrix, ModelConfig, init_model
 from toca.model import (
     KIND_FINAL,
     KIND_MLP,
@@ -248,24 +248,31 @@ def test_zero_init_forward_is_input_stream():
     model = init_model(c, seed=0, zero_init=True)
     cond = Conditioning.random_class(c, 1)
     x = FeatureMatrix(np.random.default_rng(2).normal(size=(4, 8)), (2, 2))
-    outputs = []
-    eps = model.forward(x, 3.0, cond, tap=lambda layer, kind, outs: outputs.append(outs[0].copy()))
+    streams = []
+    eps = model.forward(
+        x, 3.0, cond, site_hook=lambda layer, kind, ss: streams.append(ss[0].copy())
+    )
     # all residual modules are zero and the output head is identity
-    assert np.array_equal(eps.values, model.input_stream(x, 3.0, cond))
-    assert len(outputs) == c.depth * 2
-    assert all(np.all(o == 0.0) for o in outputs)
+    stream = model.input_stream(x, 3.0, cond)
+    assert np.array_equal(eps.values, stream)
+    assert len(streams) == len(c.sites)
+    assert all(np.array_equal(s, stream) for s in streams)
 
 
 def test_forward_record_layout():
-    c = cfg(text_tokens=3)
-    model = init_model(c, seed=0)
-    cond = Conditioning.random_text(c, 1)
-    x = FeatureMatrix(np.zeros((4, 8)), (2, 2))
-    sites = []
-    eps = model.forward(x, 1.0, cond, tap=lambda layer, kind, outs: sites.append((layer, kind)))
-    assert eps.values.shape == (4, 8)
-    assert len(sites) == c.depth * 3
-    assert sites[:3] == [(0, kind) for kind in c.group_kinds]
+    for c in (cfg(text_tokens=3), cfg()):
+        model = init_model(c, seed=0)
+        cond = Conditioning.random_text(c, 1) if c.text_tokens else Conditioning.random_class(c, 1)
+        x = FeatureMatrix(np.zeros((4, 8)), (2, 2))
+        sites = []
+        eps = model.forward(
+            x, 1.0, cond, site_hook=lambda layer, kind, ss: sites.append((layer, kind))
+        )
+        assert eps.values.shape == (4, 8)
+        assert tuple(sites) == c.sites
+        assert len(sites) == c.depth * len(c.group_kinds) + 1
+        assert sites[:len(c.group_kinds)] == [(0, kind) for kind in c.group_kinds]
+        assert sites[-1] == (c.depth, KIND_FINAL)
 
 
 @pytest.mark.parametrize("kind", ["self_attn", "cross_attn", "mlp", "final"])
@@ -282,6 +289,31 @@ def test_apply_rows_match_full_rows(kind):
     assert np.array_equal(part, full[idx])
 
 
+@pytest.mark.parametrize("with_ws", [False, True], ids=["new", "ws"])
+@pytest.mark.parametrize("kind", ["self_attn", "cross_attn", "mlp", "final"])
+def test_out_of_range_rows_are_rejected(kind, with_ws):
+    """Row ids outside [0, N) raise instead of clipping or wrapping to another token."""
+    c = cfg(text_tokens=3)
+    model = init_model(c, seed=5)
+    cond = Conditioning.random_text(c, 2)
+    h = np.random.default_rng(6).normal(size=(4, 8))
+    layer = c.depth if kind == KIND_FINAL else 1
+    for rows in ([7], [-1], [0, 4], np.array([3, -4])):
+        with pytest.raises(IndexError):
+            model._apply(layer, kind, cond, h, rows=rows, ws=Workspace() if with_ws else None)
+    full, _ = model._apply(layer, kind, cond, h)
+    part, _ = model._apply(layer, kind, cond, h, rows=[1, 3], ws=Workspace() if with_ws else None)
+    assert np.array_equal(part, full[[1, 3]])
+
+
+def _inject(layer, kind, token, delta):
+    """A site hook that adds ``delta`` to stream 0's row ``token`` entering (layer, kind)."""
+    def hook(l, k, streams):
+        if (l, k) == (layer, kind):
+            streams[0][token] += delta
+    return hook
+
+
 def test_injection_perturbs_single_site():
     c = cfg()
     model = init_model(c, seed=3)
@@ -289,27 +321,15 @@ def test_injection_perturbs_single_site():
     x = FeatureMatrix(np.random.default_rng(0).normal(size=(4, 8)), (2, 2))
     clean = model.forward(x, 2.0, cond)
     delta = np.full(8, 0.5)
-    pert = model.forward(
-        x, 2.0, cond, inject=Injection(layer=c.depth, kind=KIND_FINAL, token=2, delta=delta)
-    )
+    pert = model.forward(x, 2.0, cond, site_hook=_inject(c.depth, KIND_FINAL, 2, delta))
     diff = pert.values - clean.values
     assert np.all(diff[[0, 1, 3]] == 0.0)
     assert np.any(diff[2] != 0.0)
-
-
-def test_injection_site_validation():
-    c = cfg()
-    model = init_model(c, seed=3)
-    cond = Conditioning.random_class(c, 1)
-    x = FeatureMatrix(np.zeros((4, 8)), (2, 2))
-    for bad in (
-        Injection(layer=5, kind=KIND_SELF, token=0, delta=np.zeros(8)),
-        Injection(layer=0, kind="cross_attn", token=0, delta=np.zeros(8)),
-        Injection(layer=0, kind=KIND_SELF, token=9, delta=np.zeros(8)),
-        Injection(layer=0, kind=KIND_SELF, token=0, delta=np.zeros(3)),
-    ):
-        with pytest.raises(ValueError):
-            model.forward(x, 1.0, cond, inject=bad)
+    # the head is linear in the stream, so the row moves by exactly delta @ out_proj
+    assert np.allclose(diff[2], delta @ model.out_proj)
+    # an edit before the first module reaches every token through attention
+    early = model.forward(x, 2.0, cond, site_hook=_inject(0, KIND_SELF, 2, delta))
+    assert np.all(np.any(early.values != clean.values, axis=1))
 
 
 def test_class_conditioning_enters_input_stream():
@@ -373,7 +393,7 @@ def test_forward_batch_lockstep_matches_separate():
     assert np.array_equal(both[0].values, sep_b.values)
 
 
-# -- reused buffers and the tap ---------------------------------------------
+# -- reused buffers and the site hook ---------------------------------------
 
 
 def _text_model(seed=5):
@@ -404,29 +424,27 @@ def test_guided_batch_matches_single_streams_with_reused_workspaces():
             assert np.array_equal(both[h].values, model.forward(x, t, cond, ws=ws_single).values)
 
 
-def test_tap_sees_every_module_output():
-    """The tap's outputs are bitwise the module outputs a plain rebuild computes."""
+def test_site_hook_sees_every_stream():
+    """The hook's streams are bitwise the residual streams a plain rebuild computes."""
     c, model, conds = _text_model(seed=2)
     x = FeatureMatrix(np.random.default_rng(3).normal(size=(9, 8)), c.grid)
     seen = []
 
-    def tap(layer, kind, outs):
-        seen.append((layer, kind, [o.copy() for o in outs]))
+    def hook(layer, kind, streams):
+        seen.append((layer, kind, [s.copy() for s in streams]))
 
-    eps = model.forward_batch([x, x], 2.0, conds, ws=Workspace(), tap=tap)
-    assert len(seen) == c.depth * len(c.group_kinds)
+    eps = model.forward_batch([x, x], 2.0, conds, ws=Workspace(), site_hook=hook)
+    assert [(layer, kind) for layer, kind, _ in seen] == list(c.sites)
     for h, cond in enumerate(conds):
         stream = model.input_stream(x, 2.0, cond)
-        sites = [(layer, kind) for layer in range(c.depth) for kind in c.group_kinds]
-        for (layer, kind), (t_layer, t_kind, outs) in zip(sites, seen):
-            out, _ = model._apply(layer, kind, cond, layer_norm_rows(stream))
-            assert (t_layer, t_kind) == (layer, kind)
-            assert np.array_equal(outs[h], out)
-            stream = stream + out
+        for layer, kind, streams in seen[:-1]:
+            assert np.array_equal(streams[h], stream)
+            stream = stream + model._apply(layer, kind, cond, layer_norm_rows(stream))[0]
+        assert np.array_equal(seen[-1][2][h], stream)
         assert np.array_equal(eps[h].values, model._apply(c.depth, KIND_FINAL, cond, stream)[0])
 
 
-def test_forward_without_tap_keeps_no_module_outputs():
+def test_forward_without_hook_keeps_no_module_outputs():
     """What a forward holds on to does not grow with the number of modules."""
     nd_bytes = 64 * 16 * 8
     held = {}

@@ -213,3 +213,33 @@ def test_uncoupled_guided_halves_select_their_own_masks():
     assert stats.cache_counts.sum(axis=1).tolist() == [cached, cached]
     assert np.array_equal(stats.cache_counts, counts)  # each half cached by its own mask
     assert np.all(np.isfinite(x0.values))
+
+
+def test_read_only_site_hook_changes_no_output_bit():
+    """Instrumentation is opt-in: a hook that only reads leaves every output bit alone."""
+    c = ModelConfig(depth=2, hidden=8, heads=2, grid_h=4, grid_w=4, text_tokens=3)
+    model = init_model(c, seed=6)
+    cond = Conditioning.random_text(c, 2)
+    ns = NoiseSchedule.linear(9)
+    sched = CacheSchedule(ratio=0.6, cycle=3, lam3=0.3, grid_size=2)
+    seen = []
+
+    def hook(layer, kind, streams):
+        seen.append((layer, kind, [float(np.abs(s).sum()) for s in streams]))
+
+    (x_a, a), (x_b, b) = (
+        run_generation(
+            model, cond, ns, sched, seed=3, sampler="ddim", guidance=2.0,
+            record_masks=True, site_hook=site_hook,
+        )
+        for site_hook in (None, hook)
+    )
+    assert [(layer, kind) for layer, kind, _ in seen] == list(c.sites) * ns.total_steps
+    assert all(len(norms) == 2 for _, _, norms in seen)  # both guidance halves
+    assert np.array_equal(x_a.values, x_b.values)
+    assert a.events == b.events and a.cached_tokens > 0
+    assert np.array_equal(a.cache_counts, b.cache_counts)
+    assert len(a.mask_log) == len(b.mask_log)
+    for ea, eb in zip(a.mask_log, b.mask_log):
+        assert ea[:3] == eb[:3]
+        assert all(np.array_equal(p, q) for p, q in zip(ea[3], eb[3]))
