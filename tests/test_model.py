@@ -332,6 +332,24 @@ def test_injection_perturbs_single_site():
     assert np.all(np.any(early.values != clean.values, axis=1))
 
 
+def test_injection_site_validation():
+    from toca.analysis import measure_error_propagation
+
+    # the injection helper is the one place that validates a site; the
+    # delta is drawn there at the model's width, so no width case remains
+    c = cfg()
+    model = init_model(c, seed=3)
+    cond = Conditioning.random_class(c, 1)
+    x = FeatureMatrix(np.zeros((4, 8)), (2, 2))
+    for layer, kind, token in (
+        (5, KIND_SELF, 0),
+        (0, "cross_attn", 0),
+        (0, KIND_SELF, 9),
+    ):
+        with pytest.raises(ValueError):
+            measure_error_propagation(model, x, 1.0, cond, layer, kind, token, 0.1)
+
+
 def test_class_conditioning_enters_input_stream():
     c = cfg(time_scale=0.0)  # silence the timestep term to isolate the class one
     model = init_model(c, seed=0, zero_init=True)
