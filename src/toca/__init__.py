@@ -21,6 +21,7 @@ from .cache import (
     PROFILES,
     apply_spatial_boost,
     cycle_plan,
+    dispatch_plan,
     effective_cache_ratio,
     score_s1,
     score_s2,

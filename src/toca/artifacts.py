@@ -51,8 +51,11 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def write_json(path: str, obj: dict) -> None:
-    """Pretty, key-sorted JSON; the object should already carry config_hash."""
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Pretty, key-sorted JSON; the object should already carry config_hash.
+
+    Raises ValueError, writing nothing, when a value is NaN or infinite.
+    """
+    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def write_csv(path: str, header: list[str], rows, cfg_hash: str) -> None:

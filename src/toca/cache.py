@@ -210,6 +210,30 @@ def cache_token_count(r_eff: float, n_tokens: int) -> int:
     return min(max(n, 0), n_tokens)
 
 
+def dispatch_plan(schedule: CacheSchedule, config, total_steps: int) -> list[dict]:
+    """The cached ratio and token count of every dispatch of a run.
+
+    plan[step][(layer, kind)] = (r_eff, n_cache) for every site of
+    ``config.sites``, with r_eff = 0 at the fresh steps of cycle_plan. This is
+    the one place the schedule becomes per-dispatch counts: the cache engine
+    serves its dispatches from the table and the FLOPs model prices it.
+    """
+    fresh = set(cycle_plan(schedule, total_steps))
+    factors = type_ratio_factors(
+        schedule, config.hidden, config.heads, config.n_tokens, config.text_tokens
+    )
+    plan = []
+    for step in range(total_steps):
+        row = {}
+        for layer, kind in config.sites:
+            r_eff = 0.0 if step in fresh else effective_cache_ratio(
+                layer, step, kind, schedule, config.depth, total_steps, factors
+            )
+            row[(layer, kind)] = (r_eff, cache_token_count(r_eff, config.n_tokens))
+        plan.append(row)
+    return plan
+
+
 # -- scores ---------------------------------------------------------------
 
 
@@ -309,22 +333,12 @@ class ComputeMask:
         return self.cache_idx.shape[0]
 
 
-def select_compute_set(scores, r_eff: float, cfg_coupled: bool = False) -> ComputeMask:
+def select_compute_set(scores, r_eff: float) -> ComputeMask:
     """Cache the floor(r_eff * N) lowest-scoring tokens, compute the rest.
 
-    Ties cache the lowest index first. ``scores`` may be a list of per-half
-    score vectors from a guidance pair; with cfg_coupled they are summed per
-    token position so both halves share one mask.
+    Ties cache the lowest index first.
     """
-    if isinstance(scores, (list, tuple)):
-        if not cfg_coupled:
-            raise ValueError("multiple score vectors require cfg_coupled=True")
-        stack = [np.asarray(s, dtype=np.float64) for s in scores]
-        if len({s.shape for s in stack}) != 1:
-            raise ValueError("score vectors must share a shape")
-        s = np.sum(stack, axis=0)
-    else:
-        s = np.asarray(scores, dtype=np.float64)
+    s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 1:
         raise ValueError("scores must be a vector")
     n = s.shape[0]
@@ -387,9 +401,11 @@ class DispatchEvent:
 class CacheContext:
     """Caching state for one generation run; the model calls dispatch per module.
 
-    State is single-run and single-threaded: one context per sampling
-    trajectory (or guidance pair). Independent runs get independent contexts
-    and can execute in parallel processes.
+    ``plan`` is the run's dispatch_plan, built once: every dispatch takes its
+    r_eff and cached-token count from it, and a dispatch for a site outside
+    ``config.sites`` is rejected. State is single-run and single-threaded:
+    one context per sampling trajectory (or guidance pair). Independent runs
+    get independent contexts and can execute in parallel processes.
     """
 
     def __init__(
@@ -408,13 +424,10 @@ class CacheContext:
         self.total_steps = total_steps
         self.batch = batch
         self.fresh_steps = cycle_plan(schedule, total_steps)
-        self._fresh_set = set(self.fresh_steps)
+        self.plan = dispatch_plan(schedule, config, total_steps)
         # map every step to the extent of the cycle it belongs to
         bounds = self.fresh_steps + [total_steps]
         self._cycle_len = [b - a for a, b in zip(bounds, bounds[1:]) for _ in range(a, b)]
-        self.type_factors = type_ratio_factors(
-            schedule, config.hidden, config.heads, config.n_tokens, config.text_tokens
-        )
         # the masks of dispatches that cache nothing or everything; every such
         # dispatch and its mask_log entry share these read-only index arrays
         every, none = np.arange(config.n_tokens), np.arange(0)
@@ -434,14 +447,6 @@ class CacheContext:
             raise ValueError(f"step {step} outside [0, {self.total_steps})")
         self.step = step
 
-    @property
-    def is_fresh_step(self) -> bool:
-        return self.step in self._fresh_set
-
-    @property
-    def current_cycle_len(self) -> int:
-        return self._cycle_len[self.step]
-
     def _base_scores(self, layer: int, kind: str, half: int) -> np.ndarray:
         sched = self.schedule
         store = self.stores[half]
@@ -453,7 +458,7 @@ class CacheContext:
         if sched.lam2 > 0 and stats_layer in store.cross_entropy:
             base = base + sched.lam2 * store.cross_entropy[stats_layer]
         if sched.lam3 > 0:
-            base = base + sched.lam3 * score_s3(store.counters[key], self.current_cycle_len)
+            base = base + sched.lam3 * score_s3(store.counters[key], self._cycle_len[self.step])
         return base
 
     def dispatch(self, layer: int, kind: str, xs: list, fns: list) -> list:
@@ -461,14 +466,15 @@ class CacheContext:
 
         fns[h](x, rows=None) runs the module for half h on all tokens, or on
         the given query rows, and returns (output, attention map or None).
-        Every dispatch caches the floor(r_eff * N) lowest-scoring tokens and
-        computes the rest; fresh steps have r_eff = 0. A dispatch that caches
-        nothing keeps the module's output itself as the slot, without a copy,
-        so a full call must return an array that nothing else writes; it also
-        refreshes the score aggregates from the map. Any other splices fresh
-        rows into the slot and ages the cached ones. Returns the per-half
-        slots, which are the module outputs until the next dispatch of the
-        same (layer, kind).
+        Every dispatch caches the plan's n_cache = floor(r_eff * N)
+        lowest-scoring tokens and computes the rest; fresh steps have
+        r_eff = 0, and coupled guidance halves share the mask of their summed
+        scores. A dispatch that caches nothing keeps the module's output
+        itself as the slot, without a copy, so a full call must return an
+        array that nothing else writes; it also refreshes the score
+        aggregates from the map. Any other splices fresh rows into the slot
+        and ages the cached ones. Returns the per-half slots, which are the
+        module outputs until the next dispatch of the same (layer, kind).
         """
         if self.step is None:
             raise RuntimeError("begin_step must be called before dispatch")
@@ -476,11 +482,9 @@ class CacheContext:
             raise ValueError("dispatch inputs do not match the context batch")
         n = self.config.n_tokens
         key = (layer, kind)
-        r_eff = 0.0 if self.is_fresh_step else effective_cache_ratio(
-            layer, self.step, kind, self.schedule, self.config.depth,
-            self.total_steps, self.type_factors,
-        )
-        n_cache = cache_token_count(r_eff, n)
+        if key not in self.plan[self.step]:
+            raise ValueError(f"dispatch for site {key}, which the model does not have")
+        r_eff, n_cache = self.plan[self.step][key]
         if n_cache > 0 and any(key not in store.values for store in self.stores):
             raise RuntimeError(f"dispatch for {key} before any fresh step")
 
@@ -495,7 +499,7 @@ class CacheContext:
                 for h in range(self.batch)
             ]
             if self.schedule.cfg_coupled and self.batch > 1:
-                masks = [select_compute_set(scores, r_eff, cfg_coupled=True)] * self.batch
+                masks = [select_compute_set(np.sum(scores, axis=0), r_eff)] * self.batch
             else:
                 masks = [select_compute_set(s, r_eff) for s in scores]
         else:

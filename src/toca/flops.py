@@ -16,7 +16,7 @@ cross-check verifies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -95,16 +95,7 @@ class FlopsReport:
     per_type_cached: dict[str, float] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "baseline_flops": self.baseline_flops,
-            "cached_flops": self.cached_flops,
-            "overhead_flops": self.overhead_flops,
-            "speedup": self.speedup,
-            "fresh_steps": self.fresh_steps,
-            "total_steps": self.total_steps,
-            "per_type_baseline": dict(self.per_type_baseline),
-            "per_type_cached": dict(self.per_type_cached),
-        }
+        return asdict(self)
 
 
 def _partial_module_cost(kind: str, f: float, n: int, n2: int, d: int, h: int) -> float:
@@ -134,51 +125,37 @@ def estimate_run_flops(
 ) -> FlopsReport:
     """Price a full generation run analytically.
 
-    Fresh steps pay the full per-forward cost. At every other step each
-    (layer, module) dispatch pays its computed-token fraction of the module
-    cost plus, whenever an actual selection runs (0 < cached < N), the
-    scoring/sort overhead. Classifier-free guidance doubles everything.
+    Walks the run's dispatch_plan, the table the cache engine serves: every
+    (step, layer, module) dispatch except the head pays its computed-token
+    fraction of the module cost (the whole cost at fresh steps, where nothing
+    is cached) plus, whenever an actual selection runs (0 < cached < N), the
+    scoring/sort overhead. The baseline prices the same dispatches with
+    nothing cached. Classifier-free guidance doubles everything.
     """
-    from .cache import cache_token_count, cycle_plan, effective_cache_ratio, type_ratio_factors
+    from .cache import cycle_plan, dispatch_plan
+    from .model import KIND_FINAL, ModelConfig
 
-    schedule.validate()
+    # the plan reads only the token count, so one row of n_tokens serves as grid
+    config = ModelConfig(depth, hidden, heads, n_tokens, 1, n_text)
+    plan = dispatch_plan(schedule, config, total_steps)
     halves = 2 if cfg_doubled else 1
-    kinds = ["self_attn"] + (["cross_attn"] if n_text > 0 else []) + ["mlp"]
-    full_cost = {
-        "self_attn": flops_self_attention(n_tokens, hidden, heads),
-        "mlp": flops_mlp(n_tokens, hidden),
-    }
-    if n_text > 0:
-        full_cost["cross_attn"] = flops_cross_attention(n_tokens, n_text, hidden, heads)
 
-    per_forward = depth * sum(full_cost[k] for k in kinds)
-    baseline = float(total_steps * halves * per_forward)
-    per_type_baseline = {k: float(total_steps * halves * depth * full_cost[k]) for k in kinds}
-
-    fresh = set(cycle_plan(schedule, total_steps))
-    factors = type_ratio_factors(schedule, hidden, heads, n_tokens, n_text)
-
-    cached = 0.0
-    overhead = 0.0
-    per_type_cached = {k: 0.0 for k in kinds}
-    for t in range(total_steps):
-        if t in fresh:
-            cached += halves * per_forward
-            for k in kinds:
-                per_type_cached[k] += halves * depth * full_cost[k]
-            continue
-        for layer in range(depth):
-            for k in kinds:
-                r_eff = effective_cache_ratio(
-                    layer, t, k, schedule, depth, total_steps, factors
-                )
-                n_cached = cache_token_count(r_eff, n_tokens)
-                f = (n_tokens - n_cached) / n_tokens
-                cost = halves * _partial_module_cost(k, f, n_tokens, n_text, hidden, heads)
-                cached += cost
-                per_type_cached[k] += cost
-                if 0 < n_cached < n_tokens:
-                    overhead += halves * flops_selection_overhead(n_tokens, schedule.grid_size)
+    baseline = cached = overhead = 0.0
+    per_type_baseline: dict[str, float] = {}
+    per_type_cached: dict[str, float] = {}
+    for row in plan:
+        for (_, kind), (_, n_cached) in row.items():
+            if kind == KIND_FINAL:
+                continue
+            f = (n_tokens - n_cached) / n_tokens
+            full = halves * _partial_module_cost(kind, 1.0, n_tokens, n_text, hidden, heads)
+            cost = halves * _partial_module_cost(kind, f, n_tokens, n_text, hidden, heads)
+            baseline += full
+            cached += cost
+            per_type_baseline[kind] = per_type_baseline.get(kind, 0.0) + full
+            per_type_cached[kind] = per_type_cached.get(kind, 0.0) + cost
+            if 0 < n_cached < n_tokens:
+                overhead += halves * flops_selection_overhead(n_tokens, schedule.grid_size)
 
     total = cached + overhead
     return FlopsReport(
@@ -186,7 +163,7 @@ def estimate_run_flops(
         cached_flops=total,
         overhead_flops=overhead,
         speedup=baseline / total,
-        fresh_steps=len(fresh),
+        fresh_steps=len(cycle_plan(schedule, total_steps)),
         total_steps=total_steps,
         per_type_baseline=per_type_baseline,
         per_type_cached=per_type_cached,

@@ -577,7 +577,10 @@ def save_weights(model: Model, path) -> None:
 
 
 def load_weights(path) -> Model:
-    """Rebuild a model from a weights file written by save_weights."""
+    """Rebuild a model from a weights file written by save_weights.
+
+    Raises ValueError on a malformed file or any non-finite weight.
+    """
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii").strip()
         parts = header.split()
@@ -595,6 +598,8 @@ def load_weights(path) -> Model:
         chunk = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
         if chunk.size != count:
             raise ValueError("weights file truncated")
+        if not np.isfinite(chunk).all():
+            raise ValueError("weights file holds a non-finite value")
         arr[...] = chunk.reshape(arr.shape).astype(np.float64)
         offset += count * 4
     if offset != len(raw):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from toca import (
     PROFILES,
     apply_spatial_boost,
     cycle_plan,
+    dispatch_plan,
     effective_cache_ratio,
     score_s1,
     score_s2,
@@ -327,12 +329,34 @@ def test_selection_ties_cache_lowest_index():
 
 
 def test_selection_coupled_sums_halves():
-    # half sums: [1.0, 0.4, 0.9]; lowest is token 1
-    halves = [np.array([0.9, 0.2, 0.1]), np.array([0.1, 0.2, 0.8])]
-    mask = select_compute_set(halves, 1 / 3, cfg_coupled=True)
-    assert mask.cache_idx.tolist() == [1]
-    with pytest.raises(ValueError):
-        select_compute_set(halves, 0.5)
+    """A coupled guidance pair caches the token whose summed score is lowest.
+
+    Half 0's s1 scores are [1.8, 0.8, 0.4] and half 1's [0.4, 0.8, 1.8]: alone
+    they would cache tokens 2 and 0, together (sums [2.2, 1.6, 2.2]) token 1.
+    """
+    config = ModelConfig(depth=1, hidden=8, heads=2, grid_h=1, grid_w=3)
+    columns = [np.array([1.8, 0.8, 0.4]), np.array([0.4, 0.8, 1.8])]
+
+    def module(h):
+        def fn(x, rows=None):
+            if rows is None:
+                return np.zeros((3, 8)), np.tile(columns[h] / 3, (3, 1))
+            return np.ones((len(rows), 8)), None
+
+        return fn
+
+    fns = [module(0), module(1)]
+    computed = {}
+    for coupled in (True, False):
+        sched = neutral(ratio=1 / 3, lam2=0.0, lam4=0.0, cfg_coupled=coupled)
+        ctx = CacheContext(sched, config, total_steps=3, batch=2, record_masks=True)
+        for step in range(2):
+            ctx.begin_step(step)
+            ctx.dispatch(0, "self_attn", [None, None], fns)
+        computed[coupled] = [idx.tolist() for idx in ctx.mask_log[-1][3]]
+        assert ctx.events[-1].cached == 1
+    assert computed[True] == [[0, 2], [0, 2]]
+    assert computed[False] == [[0, 1], [1, 2]]
 
 
 def _sort_oracle(scores, r_eff):
@@ -493,7 +517,7 @@ def test_dispatch_caching_nothing_at_a_non_fresh_step_refreshes_everything():
     store.attn_influence[0] = np.full(4, -1.0)
 
     ctx.begin_step(1)
-    assert not ctx.is_fresh_step
+    assert 1 not in ctx.fresh_steps
     (got,) = ctx.dispatch(0, "self_attn", [None], [fn])
     assert last["rows"] is None
     assert np.array_equal(got, last["out"])
@@ -559,6 +583,15 @@ def test_dispatch_final_kind_uses_last_layer_stats():
     assert (1, "final") in kinds
 
 
+@pytest.mark.parametrize("site", [(0, "cross_attn"), (1, "mlp"), (0, "final"), (2, "final")])
+def test_dispatch_outside_the_model_sites_rejected(site):
+    ctx = _ctx(neutral(ratio=0.5), total_steps=6, depth=1)
+    ctx.begin_step(0)
+    with pytest.raises(ValueError, match=re.escape(str(site))):
+        ctx.dispatch(*site, [None], [lambda x, rows=None: (np.zeros((4, 8)), None)])
+    assert ctx.events == [] and ctx.stores[0].values == {}
+
+
 # -- slots as module outputs through the model --------------------------------
 
 
@@ -607,3 +640,39 @@ def test_coupled_guided_batch_matches_single_streams():
             single = model.forward(x, t, conds[h], cache_ctx=ctx, ws=ws)
             assert np.array_equal(both[h].values, single.values)
     assert sum(0 < e.cached < 9 for e in pair.events) > 0  # partial dispatches ran
+
+
+# -- the dispatch plan ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("text_tokens", [0, 3])
+@pytest.mark.parametrize("guided", [False, True])
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+def test_run_dispatches_follow_the_plan(profile, guided, text_tokens):
+    """Every dispatch of a run is the plan's (step, layer, kind, r_eff, n_cache)."""
+    c = ModelConfig(depth=2, hidden=8, heads=2, grid_h=4, grid_w=4, text_tokens=text_tokens)
+    model = init_model(c, seed=3)
+    cond = Conditioning.random_text(c, 1) if text_tokens else Conditioning.random_class(c, 1)
+    conds = [Conditioning.null_for(c), cond] if guided else [cond]
+    total = 12
+    sched = PROFILES[profile]
+    ctx = CacheContext(sched, c, total, batch=len(conds))
+    ws = Workspace()
+    rng = np.random.default_rng(5)
+    for step in range(total):
+        ctx.begin_step(step)
+        x = FeatureMatrix(rng.normal(size=(c.n_tokens, 8)), c.grid)
+        model.forward_batch([x] * len(conds), float(total - step), conds, cache_ctx=ctx, ws=ws)
+
+    plan = dispatch_plan(sched, c, total)
+    assert len(plan) == total and all(tuple(row) == c.sites for row in plan)
+    got = [(e.step, e.layer, e.kind, e.r_eff, e.cached) for e in ctx.events]
+    want = [
+        (step, layer, kind, r_eff, n_cache)
+        for step, row in enumerate(plan)
+        for (layer, kind), (r_eff, n_cache) in row.items()
+    ]
+    assert got == want
+    assert all(e.computed + e.cached == c.n_tokens for e in ctx.events)
+    for step in cycle_plan(sched, total):
+        assert all(planned == (0.0, 0) for planned in plan[step].values())

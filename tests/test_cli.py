@@ -288,6 +288,38 @@ def test_write_feature_grid_rejects_float32_overflow(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["x0.bin"]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "command", [["sample"], ["analyze", "redundancy"], ["analyze", "propagation"]],
+    ids=["sample", "redundancy", "propagation"],
+)
+def test_non_finite_weights_exit_two(tmp_path, capsys, command, bad):
+    # these used to run: sample exited 1 at the x0.bin write, and both
+    # analyses exited 0 with NaN quantiles in their JSON
+    from toca.model import ModelConfig, init_model, save_weights
+
+    model = init_model(ModelConfig(2, 8, 2, 4, 4), seed=0)
+    model.groups[1].mlp.w1[3, 5] = bad
+    save_weights(model, tmp_path / "w.bin")
+    body = SMALL.replace("grid_w = 4\n", f"grid_w = 4\nweights = {tmp_path / 'w.bin'}\n")
+    out = tmp_path / "out"
+    assert cli.main([*command, "-c", _write_cfg(tmp_path, body), "--out", out.as_posix()]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_write_json_rejects_non_finite_values(tmp_path):
+    from toca.artifacts import write_json
+
+    path = (tmp_path / "stats.json").as_posix()
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            write_json(path, {"config_hash": "0" * 12, "values": [1.0, bad]})
+    assert not any(tmp_path.iterdir())  # no file and no temp file
+    write_json(path, {"config_hash": "0" * 12, "values": [1.0, 2.0]})
+    assert [p.name for p in tmp_path.iterdir()] == ["stats.json"]
+
+
 def test_oversized_grid_size_exits_two(tmp_path, capsys):
     # the boost cell must fit the grid; this used to fail mid-run with exit 1
     cfg = _write_cfg(tmp_path, SMALL + "\n[cache]\nprofile = toca-dit\ngrid_size = 5\n")

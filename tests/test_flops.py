@@ -5,15 +5,20 @@ import pytest
 
 from toca import (
     CacheSchedule,
+    Conditioning,
     FlopCounter,
+    ModelConfig,
+    NoiseSchedule,
     PROFILES,
     estimate_run_flops,
     flops_cross_attention,
     flops_mlp,
     flops_selection_overhead,
     flops_self_attention,
+    init_model,
+    run_generation,
 )
-from toca.flops import verify_closed_forms
+from toca.flops import _partial_module_cost, verify_closed_forms
 
 
 def test_self_attention_oracle():
@@ -154,3 +159,37 @@ def test_report_json_fields():
         assert key in d
     assert d["speedup"] == pytest.approx(rep.baseline_flops / rep.cached_flops)
     assert rep.cached_flops <= rep.baseline_flops
+
+
+@pytest.mark.parametrize(
+    "profile, text_tokens, guidance",
+    [("toca-dit", 0, None), ("toca-dit", 3, 2.0), ("toca-pixart", 3, 4.0), ("naive-full", 0, 2.0)],
+)
+def test_estimate_prices_the_dispatches_the_engine_runs(profile, text_tokens, guidance):
+    """The report's computed fractions are those of the run's own dispatches."""
+    c = ModelConfig(depth=2, hidden=8, heads=2, grid_h=4, grid_w=4, text_tokens=text_tokens)
+    cond = Conditioning.random_text(c, 2) if text_tokens else Conditioning.random_class(c, 2)
+    sched, total, n = PROFILES[profile], 12, c.n_tokens
+    _, stats = run_generation(
+        init_model(c, seed=1), cond, NoiseSchedule.linear(total),
+        cache_schedule=sched, sampler="ddim", guidance=guidance,
+    )
+    rep = estimate_run_flops(
+        c.depth, c.hidden, c.heads, n, text_tokens, total, guidance is not None, sched
+    )
+
+    halves = 2 if guidance is not None else 1
+    blocks = [e for e in stats.events if e.kind != "final"]
+    cached, baseline = {}, {}
+    for e in blocks:
+        cost = _partial_module_cost(e.kind, e.computed / n, n, text_tokens, c.hidden, c.heads)
+        cached[e.kind] = cached.get(e.kind, 0.0) + halves * cost
+        full = _partial_module_cost(e.kind, 1.0, n, text_tokens, c.hidden, c.heads)
+        baseline[e.kind] = baseline.get(e.kind, 0.0) + halves * full
+    assert rep.per_type_cached == cached
+    assert rep.per_type_baseline == baseline
+    selections = sum(0 < e.cached < n for e in blocks)
+    assert rep.overhead_flops == pytest.approx(
+        selections * halves * flops_selection_overhead(n, sched.grid_size)
+    )
+    assert rep.fresh_steps == len(stats.fresh_steps)
