@@ -17,8 +17,10 @@ attention; partially computed maps never feed the scores.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -28,7 +30,7 @@ from .model import KIND_CROSS, KIND_FINAL, KIND_MLP, KIND_SELF
 TYPE_MODES = ("uniform", "flops-share", "lambda-type")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CacheSchedule:
     """Every knob that shapes where and how hard the cache bites.
 
@@ -36,7 +38,8 @@ class CacheSchedule:
     length N0. lam1..lam4 weight the score terms, lam_depth/lam_time tilt the
     ratio across layers and steps around ``center``, cycle_slope stretches the
     cycle over the run, and type_mode decides how the ratio is redistributed
-    between module kinds (see type_ratio_factors).
+    between module kinds (see type_ratio_factors). Schedules are frozen, so
+    equal schedules hash alike and can key the shared dispatch_plan.
     """
 
     ratio: float = 0.0
@@ -210,13 +213,20 @@ def cache_token_count(r_eff: float, n_tokens: int) -> int:
     return min(max(n, 0), n_tokens)
 
 
-def dispatch_plan(schedule: CacheSchedule, config, total_steps: int) -> list[dict]:
+@functools.lru_cache(maxsize=64)
+def dispatch_plan(
+    schedule: CacheSchedule, config, total_steps: int
+) -> tuple[MappingProxyType, ...]:
     """The cached ratio and token count of every dispatch of a run.
 
     plan[step][(layer, kind)] = (r_eff, n_cache) for every site of
     ``config.sites``, with r_eff = 0 at the fresh steps of cycle_plan. This is
     the one place the schedule becomes per-dispatch counts: the cache engine
     serves its dispatches from the table and the FLOPs model prices it.
+
+    The plan depends on nothing but its arguments, so it is built once per
+    (schedule, config, total_steps) and shared read-only: a tuple of
+    read-only mappings, which every context of that config reads.
     """
     fresh = set(cycle_plan(schedule, total_steps))
     factors = type_ratio_factors(
@@ -230,8 +240,8 @@ def dispatch_plan(schedule: CacheSchedule, config, total_steps: int) -> list[dic
                 layer, step, kind, schedule, config.depth, total_steps, factors
             )
             row[(layer, kind)] = (r_eff, cache_token_count(r_eff, config.n_tokens))
-        plan.append(row)
-    return plan
+        plan.append(MappingProxyType(row))
+    return tuple(plan)
 
 
 # -- scores ---------------------------------------------------------------
@@ -299,19 +309,30 @@ def apply_spatial_boost(
         raise ValueError("grid_size must be >= 1")
     if g > min(h, w):
         raise ValueError(f"grid_size {g} exceeds grid {grid}")
-    # Pad to whole cells with -inf; one row-major argmax per cell sends ties to
-    # the lowest flat index, and padding never precedes a cell's real top-left.
-    ch, cw = (h + g - 1) // g, (w + g - 1) // g
-    padded = np.full((ch * g, cw * g), -np.inf)
-    padded[:h, :w] = base.reshape(h, w)
-    cells = padded.reshape(ch, g, cw, g).swapaxes(1, 2).reshape(ch, cw, g * g)
-    rr, cc = np.divmod(cells.argmax(axis=2), g)
-    rr += np.arange(0, h, g)[:, None]
-    cc += np.arange(0, w, g)[None, :]
-    idx = (rr * w + cc).ravel()
+    cells = _boost_cells(h, w, g)
+    idx = cells[np.arange(cells.shape[0]), base[cells].argmax(axis=1)]
     boosted = base.copy()
     boosted[idx] = base[idx] * (1.0 + lam4)
     return boosted
+
+
+@functools.lru_cache(maxsize=64)
+def _boost_cells(h: int, w: int, g: int) -> np.ndarray:
+    """Flat token ids of every G x G cell of an h x w grid, one row per cell.
+
+    Cells run row-major over the grid and ids row-major within a cell, so a
+    row's first argmax is the cell's lowest flat index among ties. Cells cut
+    by the right/bottom edge are padded with their top-left id: a padded
+    entry equals the top-left score, which precedes it, so it never wins.
+    The array is read-only and shared by every call with the same grid.
+    """
+    ch, cw = (h + g - 1) // g, (w + g - 1) // g
+    rr = np.arange(ch * g).reshape(ch, 1, g, 1)
+    cc = np.arange(cw * g).reshape(1, cw, 1, g)
+    ids = rr * w + cc
+    ids = np.where((rr < h) & (cc < w), ids, ids[:, :, :1, :1]).reshape(ch * cw, g * g)
+    ids.flags.writeable = False
+    return ids
 
 
 # -- selection and slots ---------------------------------------------------
@@ -352,11 +373,11 @@ def select_compute_set(scores, r_eff: float) -> ComputeMask:
 def cached_layer_apply(fn, x: np.ndarray, mask: ComputeMask, slot_values: np.ndarray):
     """Splice freshly computed rows into the cache slot, which is the module output.
 
-    fn(x, rows) evaluates the module for the given query rows against the
-    full input stream and returns (rows_out, map or None); the map is dropped.
-    The fresh rows overwrite their rows of the slot in place. Returns
-    (slot_values, fresh_rows); fresh_rows is None when the mask computes
-    nothing.
+    fn(x, rows) evaluates the module for the given query rows of the raw
+    residual stream x, normalising what the module reads itself, and returns
+    (rows_out, map or None); the map is dropped. The fresh rows overwrite
+    their rows of the slot in place. Returns (slot_values, fresh_rows);
+    fresh_rows is None when the mask computes nothing.
     """
     if slot_values is None:
         raise RuntimeError("cache slot is empty; a fresh step must run first")
@@ -401,8 +422,9 @@ class DispatchEvent:
 class CacheContext:
     """Caching state for one generation run; the model calls dispatch per module.
 
-    ``plan`` is the run's dispatch_plan, built once: every dispatch takes its
-    r_eff and cached-token count from it, and a dispatch for a site outside
+    ``plan`` is the run's dispatch_plan, shared read-only by every context of
+    the same (schedule, config, total_steps): every dispatch takes its r_eff
+    and cached-token count from it, and a dispatch for a site outside
     ``config.sites`` is rejected. State is single-run and single-threaded:
     one context per sampling trajectory (or guidance pair). Independent runs
     get independent contexts and can execute in parallel processes.
@@ -452,21 +474,24 @@ class CacheContext:
         store = self.stores[half]
         key = (layer, kind)
         stats_layer = min(layer, self.config.depth - 1)
-        base = np.zeros(self.config.n_tokens)
         if sched.lam1 > 0:
-            base = base + sched.lam1 * store.attn_influence[stats_layer]
+            base = sched.lam1 * store.attn_influence[stats_layer]
+        else:
+            base = np.zeros(self.config.n_tokens)
         if sched.lam2 > 0 and stats_layer in store.cross_entropy:
-            base = base + sched.lam2 * store.cross_entropy[stats_layer]
+            base += sched.lam2 * store.cross_entropy[stats_layer]
         if sched.lam3 > 0:
-            base = base + sched.lam3 * score_s3(store.counters[key], self._cycle_len[self.step])
+            base += sched.lam3 * score_s3(store.counters[key], self._cycle_len[self.step])
         return base
 
     def dispatch(self, layer: int, kind: str, xs: list, fns: list) -> list:
         """Serve one (layer, module kind) application for every batch half.
 
-        fns[h](x, rows=None) runs the module for half h on all tokens, or on
-        the given query rows, and returns (output, attention map or None).
-        Every dispatch caches the plan's n_cache = floor(r_eff * N)
+        xs[h] is half h's raw residual stream. fns[h](x, rows=None) runs the
+        module for half h on all tokens, or on the given query rows, and
+        returns (output, attention map or None); it normalises only the rows
+        the module reads, and a dispatch that caches every token never calls
+        it. Every dispatch caches the plan's n_cache = floor(r_eff * N)
         lowest-scoring tokens and computes the rest; fresh steps have
         r_eff = 0, and coupled guidance halves share the mask of their summed
         scores. A dispatch that caches nothing keeps the module's output

@@ -152,6 +152,9 @@ def cmd_sample(args) -> int:
 
 def cmd_redundancy(args) -> int:
     rc = _load(args)
+    if rc.steps < 2:
+        # drift is measured between adjacent steps; one step has no pair
+        raise ConfigError(f"analyze redundancy needs [sampler] steps >= 2, got {rc.steps}")
     model = _build_model(rc)
     cond = _conditioning(rc)
     ns = NoiseSchedule.linear(rc.steps, rc.beta_start, rc.beta_end)
@@ -160,6 +163,15 @@ def cmd_redundancy(args) -> int:
     )
     h = run_config_hash(rc)
     out = rc.out_dir
+    # build the summary before writing: a failure computing it leaves no file
+    payload = {
+        "config_hash": h,
+        "layers": profile.layers,
+        "steps": profile.n_steps,
+        "tokens": profile.n_tokens,
+        "distance_quantiles": _quantiles(profile.distances),
+        "per_layer_mean": [float(v) for v in profile.per_layer_mean.mean(axis=1)],
+    }
 
     def rows():
         for k, layer in enumerate(profile.layers):
@@ -171,14 +183,7 @@ def cmd_redundancy(args) -> int:
         os.path.join(out, "redundancy.csv"),
         ["layer", "step", "token", "distance"], rows(), h,
     )
-    write_json(os.path.join(out, "redundancy.json"), {
-        "config_hash": h,
-        "layers": profile.layers,
-        "steps": profile.n_steps,
-        "tokens": profile.n_tokens,
-        "distance_quantiles": _quantiles(profile.distances),
-        "per_layer_mean": [float(v) for v in profile.per_layer_mean.mean(axis=1)],
-    })
+    write_json(os.path.join(out, "redundancy.json"), payload)
     print(f"wrote redundancy.csv redundancy.json to {out}/ (config {h})")
     return 0
 

@@ -466,13 +466,24 @@ class Model:
         step of a trajectory so steps reuse its buffers (a new one is made
         per call otherwise). Module outputs are the context's cache slots
         under a context, and one reused buffer per stream without one;
-        nothing else keeps them past the residual add. ``site_hook``, when
-        given, is called as ``site_hook(layer, kind, streams)`` right before
-        every module of ``config.sites``, the head included, with the live
-        per-stream residual streams: it may read them, or edit them in place
-        to perturb what the module and everything after it see. The streams
-        are reused buffers, so a hook copies what it keeps. Returns one newly
-        allocated noise prediction per stream.
+        nothing else keeps them past the residual add.
+
+        Under a context, each dispatch gets the raw residual streams, and its
+        module callables normalise only the rows the module reads: all N for
+        self-attention, whose keys and values span the stream, the computed
+        rows for cross-attention and the MLP, none for the head, and none at
+        all when the dispatch reuses every token. A layer norm of a row
+        subset is bitwise those rows of the full layer norm, so outputs do
+        not depend on it. Without a context every module but the head reads
+        the fully normalised stream.
+
+        ``site_hook``, when given, is called as
+        ``site_hook(layer, kind, streams)`` right before every module of
+        ``config.sites``, the head included, with the live per-stream
+        residual streams, cached or not: it may read them, or edit them in
+        place to perturb what the module and everything after it see. The
+        streams are reused buffers, so a hook copies what it keeps. Returns
+        one newly allocated noise prediction per stream.
         """
         cfg = self.config
         if len(xs) != len(conds) or not xs:
@@ -501,14 +512,21 @@ class Model:
 
             def fn(x, rows=None):
                 out = slot if rows is None else None
+                if kind != KIND_FINAL:
+                    if rows is not None and kind != KIND_SELF:
+                        x, rows = _take_rows(x, rows, ws), None
+                    x = layer_norm_rows(x, out=normed[h][: x.shape[0]], ws=ws)
                 return self._apply(layer, kind, conds[h], x, rows, out=out, ws=ws)
 
             return fn
 
-        def run(layer, kind, hs):
+        def run(layer, kind):
             if cache_ctx is not None:
                 fns = [cached_module(layer, kind, h) for h in halves]
-                return cache_ctx.dispatch(layer, kind, hs, fns)
+                return cache_ctx.dispatch(layer, kind, streams, fns)
+            hs = streams if kind == KIND_FINAL else [
+                layer_norm_rows(streams[h], out=normed[h], ws=ws) for h in halves
+            ]
             return [
                 self._apply(layer, kind, conds[h], hs[h], out=outputs[h], ws=ws)[0]
                 for h in halves
@@ -517,10 +535,10 @@ class Model:
         for layer, kind in cfg.sites:
             if site_hook is not None:
                 site_hook(layer, kind, streams)
+            outs = run(layer, kind)
             if kind == KIND_FINAL:
-                return [FeatureMatrix(o.copy(), cfg.grid) for o in run(layer, kind, streams)]
-            hs = [layer_norm_rows(streams[h], out=normed[h], ws=ws) for h in halves]
-            for s, o in zip(streams, run(layer, kind, hs)):
+                return [FeatureMatrix(o.copy(), cfg.grid) for o in outs]
+            for s, o in zip(streams, outs):
                 s += o
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -28,7 +29,8 @@ from toca.cache import (
     cached_layer_apply,
     type_ratio_factors,
 )
-from toca.model import Workspace, init_model
+import toca.model
+from toca.model import KIND_FINAL, KIND_SELF, Workspace, init_model
 
 
 def neutral(**kw):
@@ -676,3 +678,95 @@ def test_run_dispatches_follow_the_plan(profile, guided, text_tokens):
     assert all(e.computed + e.cached == c.n_tokens for e in ctx.events)
     for step in cycle_plan(sched, total):
         assert all(planned == (0.0, 0) for planned in plan[step].values())
+
+
+def test_equal_configs_share_one_read_only_plan():
+    sched = PROFILES["toca-dit"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sched.ratio = 0.5
+    config = ModelConfig(depth=2, hidden=8, heads=2, grid_h=4, grid_w=4)
+    a = CacheContext(sched, config, 10)
+    # equal, not identical, arguments
+    b = CacheContext(
+        dataclasses.replace(sched), ModelConfig(2, 8, 2, 4, 4), 10, batch=2, record_masks=True
+    )
+    assert a.plan is b.plan is dispatch_plan(sched, config, 10)
+    assert CacheContext(sched, config, 11).plan is not a.plan
+    with pytest.raises(TypeError):
+        a.plan[1][(0, "mlp")] = (0.0, 0)
+    with pytest.raises(TypeError):
+        a.plan[1] = {}
+
+
+@pytest.mark.parametrize("guided", [False, True])
+@pytest.mark.parametrize(
+    "sched",
+    [neutral(ratio=0.6, lam3=0.25, grid_size=2), PROFILES["toca-dit"], PROFILES["toca-pixart"]],
+    ids=["uniform", "toca-dit", "toca-pixart"],
+)
+def test_cached_forward_normalises_only_the_rows_it_computes(monkeypatch, sched, guided):
+    """Layer-norm rows follow the plan, and the site hook still sees the raw stream.
+
+    Self-attention normalises all N rows whenever it computes (its keys and
+    values span the stream), cross-attention and the MLP their N - n_cache
+    computed rows, the head none, and a dispatch that reuses every token none.
+    """
+    c = ModelConfig(depth=2, hidden=8, heads=2, grid_h=4, grid_w=4, text_tokens=3)
+    model = init_model(c, seed=3)
+    conds = [Conditioning.null_for(c)] * guided + [Conditioning.random_text(c, 1)]
+    total, n = 12, c.n_tokens
+    ctx = CacheContext(sched, c, total, batch=len(conds))
+
+    normed_rows = []
+    norm = toca.model.layer_norm_rows
+
+    def counting_norm(x, *args, **kwargs):
+        normed_rows.append(x.shape[0])
+        return norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(toca.model, "layer_norm_rows", counting_norm)
+    outs, seen = [], []
+    dispatch = ctx.dispatch
+
+    def recording_dispatch(layer, kind, xs, fns):
+        slots = dispatch(layer, kind, xs, fns)
+        outs.append([o.copy() for o in slots])
+        return slots
+
+    monkeypatch.setattr(ctx, "dispatch", recording_dispatch)
+
+    def hook(layer, kind, streams):
+        seen.append([s.copy() for s in streams])
+
+    ws = Workspace()
+    rng = np.random.default_rng(4)
+    for step in range(total):
+        ctx.begin_step(step)
+        x = FeatureMatrix(rng.normal(size=(n, 8)), c.grid)
+        t = float(total - step)
+        first = len(seen)
+        model.forward_batch([x] * len(conds), t, conds, cache_ctx=ctx, ws=ws, site_hook=hook)
+        for h, cond in enumerate(conds):
+            stream = model.input_stream(x, t, cond)
+            for k in range(first, len(seen)):
+                assert np.array_equal(seen[k][h], stream)
+                stream = stream + outs[k][h]
+
+    def planned_rows(kind, n_cache):
+        if kind == KIND_FINAL or n_cache == n:
+            return 0
+        return n if kind == KIND_SELF else n - n_cache
+
+    plan = dispatch_plan(sched, c, total)
+    assert sum(normed_rows) == len(conds) * sum(
+        planned_rows(kind, n_cache)
+        for row in plan
+        for (_, kind), (_, n_cache) in row.items()
+    )
+    # every case skips work; the uniform one also has partial self-attention
+    assert sum(normed_rows) < len(conds) * total * c.depth * len(c.group_kinds) * n
+    partial_self = [
+        0 < n_cache < n for row in plan for (_, kind), (_, n_cache) in row.items()
+        if kind == KIND_SELF
+    ]
+    assert any(partial_self) == (sched.type_mode == "uniform")

@@ -108,6 +108,16 @@ def test_analyze_redundancy(tmp_path):
     assert len(rows) == 2 + 2 * 5 * 16
 
 
+def test_redundancy_one_step_exits_two(tmp_path, capsys):
+    # this used to write a header-only redundancy.csv, then exit 1 with an
+    # IndexError from the quantiles of an empty distance array
+    cfg = _write_cfg(tmp_path, SMALL.replace("steps = 6", "steps = 1"))
+    out = tmp_path / "out"
+    assert cli.main(["analyze", "redundancy", "-c", cfg, "--out", out.as_posix()]) == 2
+    assert "steps >= 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analyze_propagation(tmp_path):
     cfg = _write_cfg(tmp_path, SMALL + "\n[analyze]\nlayer = 1\nkind = mlp\ntoken = 5\n")
     out = tmp_path / "out"

@@ -87,6 +87,21 @@ def test_layer_norm_rows_matches_mean_var_formula():
         assert np.array_equal(layer_norm_rows(x), ref)
 
 
+@pytest.mark.parametrize("hidden", [8, 32, 128])
+@pytest.mark.parametrize("with_ws", [False, True], ids=["new", "ws"])
+def test_layer_norm_of_a_row_subset_is_those_rows(hidden, with_ws):
+    """A cached dispatch normalises only the rows it computes; that must not move a bit."""
+    rng = np.random.default_rng(hidden)
+    n = 40
+    x = rng.normal(loc=2.0, scale=3.0, size=(n, hidden))
+    x[7] = x[7, 0]  # a constant row: zero variance
+    ws = Workspace() if with_ws else None
+    full = layer_norm_rows(x, ws=ws).copy()
+    for rows in ([7], [0, 39], [3, 7, 21], np.sort(rng.choice(n, 17, replace=False)), range(n)):
+        rows = np.asarray(rows)
+        assert np.array_equal(layer_norm_rows(x[rows], ws=ws), full[rows])
+
+
 def test_mlp_linear_region_oracle():
     # positive weights and input keep ReLU in its linear region:
     # out = x * sum_k w1[0,k] * w2[k,0] = 4 * x * 0.5 * 0.25
