@@ -87,11 +87,15 @@ def ddpm_step(
     abar = schedule.alpha_bar(t)
     if abar >= 1.0:
         raise ValueError("alpha_bar(t) = 1 makes the noise coefficient singular")
-    mean = (x_t - (1.0 - a) / np.sqrt(1.0 - abar) * eps_hat) / np.sqrt(a)
+    # in place, bitwise (x_t - c * eps_hat) / sqrt(a) + sqrt(beta) * z
+    mean = np.multiply((1.0 - a) / np.sqrt(1.0 - abar), eps_hat)
+    np.subtract(x_t, mean, out=mean)
+    mean /= np.sqrt(a)
     if t == 1:
         return mean
-    z = linalg.gaussian(x_t.shape, 1.0, np.random.SeedSequence((seed, t)))
-    return mean + np.sqrt(schedule.beta(t)) * z
+    seq = np.random.SeedSequence((seed, t))
+    mean += linalg.gaussian(x_t.shape, np.sqrt(schedule.beta(t)), seq)
+    return mean
 
 
 def ddim_step(

@@ -63,6 +63,42 @@ def test_softmax_out_matches_fresh_result_bitwise():
         assert np.array_equal(out, fresh)
 
 
+def _softmax_max_shift(m):
+    """The textbook softmax: subtract max(axis=1), exponentiate, normalise."""
+    e = np.exp(m - m.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+inf, nan = np.inf, np.nan
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        [[1.0, 3.0, 3.0, 2.0], [5.0, 5.0, 5.0, 5.0], [-2.0, 7.0, -2.0, 7.0]],
+        [[-0.0, 0.0, -1.0], [0.0, -0.0, -0.0], [-0.0, -0.0, -3.0], [-5.0, 0.0, -0.0]],
+        [[inf, 1.0, 2.0], [-inf, 0.0, 1.0], [-inf, -inf, -inf], [inf, inf, 0.0], [inf, -inf, 3.0]],
+        [[nan, nan, nan], [1.0, nan, 2.0], [nan, nan, nan]],
+        [[3.0], [-0.0], [-inf], [nan]],
+        np.empty((0, 3)),
+    ],
+    ids=["tied", "signed-zeros", "inf", "nan", "one-column", "zero-rows"],
+)
+def test_softmax_edge_cases_match_max_shift(m):
+    m = np.array(m, dtype=np.float64)
+    with np.errstate(invalid="ignore"):
+        ref = _softmax_max_shift(m)
+        out = linalg.softmax_rows(m)
+    assert out.shape == m.shape
+    assert np.array_equal(out, ref, equal_nan=True)
+    assert np.array_equal(np.signbit(out), np.signbit(ref))
+
+
+def test_softmax_zero_columns_rejected():
+    with pytest.raises(ValueError):
+        linalg.softmax_rows(np.empty((2, 0)))
+
+
 def test_gaussian_deterministic():
     s = np.random.SeedSequence((7, 3))
     a = linalg.gaussian((4, 5), 1.3, np.random.SeedSequence((7, 3)))

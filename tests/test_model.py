@@ -3,7 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from toca import Conditioning, FeatureMatrix, ModelConfig, init_model
+from toca import Conditioning, FeatureMatrix, ModelConfig, init_model, linalg
+from toca import model as toca_model
+from toca.flops import FLOPS_PER_MAC, SOFTMAX_FLOPS_PER_ELEMENT, FlopCounter
 from toca.model import (
     KIND_FINAL,
     KIND_MLP,
@@ -198,6 +200,41 @@ def test_attention_matches_reference_loop(kind, rows):
     ref_out, ref_attn = _attention_ref(x, kv, w, heads, None if rows is None else np.array(rows))
     assert np.array_equal(out, ref_out)
     assert np.array_equal(attn, ref_attn)
+
+
+@pytest.mark.parametrize("group", [1, 2, 4, 6], ids=["g1", "g2", "g4+2", "all"])
+@pytest.mark.parametrize("kind", ["self", "cross"])
+@pytest.mark.parametrize("rows", [None, [0, 2, 3, 9, 12], [7]], ids=["full", "rows", "one"])
+def test_attention_groups_match_reference_loop(monkeypatch, group, kind, rows):
+    """Every grouping of 6 heads equals the per-head loop bitwise and counts per head."""
+    rng = np.random.default_rng(17)
+    d, heads = 24, 6
+    x = rng.normal(size=(13, d))
+    w = AttnWeights(*(rng.normal(size=(d, d)) for _ in range(4)))
+    kv = x if kind == "self" else rng.normal(size=(5, d))
+    m, n = (13 if rows is None else len(rows)), kv.shape[0]
+    # the largest budget that still gives `group` heads per group
+    monkeypatch.setattr(toca_model, "_LOGITS_BUDGET", (group + 1) * m * n - 1)
+    calls = []
+    softmax = linalg.softmax_rows
+    monkeypatch.setattr(linalg, "softmax_rows", lambda a, out=None: calls.append(a.shape) or softmax(a, out))
+
+    counter = FlopCounter()
+    ws = Workspace()
+    if kind == "self":
+        out, attn = self_attention_forward(x, w, heads, rows=rows, counter=counter, ws=ws)
+    else:
+        out, attn = cross_attention_forward(x, kv, w, heads, rows=rows, counter=counter, ws=ws)
+    ref_out, ref_attn = _attention_ref(x, kv, w, heads, None if rows is None else np.array(rows))
+    assert np.array_equal(out, ref_out)
+    assert np.array_equal(attn, ref_attn)
+
+    sizes = [min(group, heads - h0) for h0 in range(0, heads, group)]
+    assert calls == [(g * m, n) for g in sizes]
+    dh = d // heads
+    projections = FLOPS_PER_MAC * (2 * m * d * d + 2 * n * d * d)
+    per_head = 2 * FLOPS_PER_MAC * m * dh * n + SOFTMAX_FLOPS_PER_ELEMENT * m * n
+    assert counter.flops == projections + heads * per_head
 
 
 def test_cross_attention_needs_text():

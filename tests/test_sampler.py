@@ -79,6 +79,21 @@ def test_ddpm_noise_keyed_by_seed_and_t():
     assert not np.array_equal(ddpm_step(x, e, 3, ns, seed=1), ddpm_step(x, e, 4, ns, seed=1))
 
 
+@pytest.mark.parametrize("t", [1, 5, 20])
+def test_ddpm_step_matches_textbook_expression_bitwise(t):
+    ns = NoiseSchedule.linear(20)
+    rng = np.random.default_rng(8)
+    x, eps = rng.normal(size=(64, 32)), rng.normal(size=(64, 32))
+    x_before, eps_before = x.copy(), eps.copy()
+    a, abar = ns.alpha(t), ns.alpha_bar(t)
+    want = (x - (1.0 - a) / np.sqrt(1.0 - abar) * eps) / np.sqrt(a)
+    if t > 1:
+        z = np.random.Generator(np.random.PCG64(np.random.SeedSequence((3, t)))).standard_normal(x.shape)
+        want = want + np.sqrt(ns.beta(t)) * z
+    assert np.array_equal(ddpm_step(x, eps, t, ns, seed=3), want)
+    assert np.array_equal(x, x_before) and np.array_equal(eps, eps_before)
+
+
 def test_ddpm_shape_checks():
     ns = NoiseSchedule.linear(3)
     with pytest.raises(ValueError):
