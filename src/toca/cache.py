@@ -24,6 +24,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from . import model
 from .flops import flops_cross_attention, flops_mlp
 from .model import KIND_CROSS, KIND_FINAL, KIND_MLP, KIND_SELF
 
@@ -425,9 +426,11 @@ class CacheContext:
     ``plan`` is the run's dispatch_plan, shared read-only by every context of
     the same (schedule, config, total_steps): every dispatch takes its r_eff
     and cached-token count from it, and a dispatch for a site outside
-    ``config.sites`` is rejected. State is single-run and single-threaded:
-    one context per sampling trajectory (or guidance pair). Independent runs
-    get independent contexts and can execute in parallel processes.
+    ``config.sites`` is rejected. State is single-run: one context per
+    sampling trajectory (or guidance pair). The dispatches of a run come from
+    one thread; inside a dispatch of a pair, half 1's share may run on the
+    model's worker thread (see _serve). Independent runs get independent
+    contexts and can execute in parallel processes.
     """
 
     def __init__(
@@ -500,6 +503,10 @@ class CacheContext:
         aggregates from the map. Any other splices fresh rows into the slot
         and ages the cached ones. Returns the per-half slots, which are the
         module outputs until the next dispatch of the same (layer, kind).
+
+        Once the masks are chosen, a pair whose call passes model.split_halves
+        (sized by the computed rows) runs half 1's share on the model's worker
+        thread while half 0's runs here; dispatch returns after both.
         """
         if self.step is None:
             raise RuntimeError("begin_step must be called before dispatch")
@@ -530,22 +537,36 @@ class CacheContext:
         else:
             masks = [self._compute_all if n_cache == 0 else self._cache_all] * self.batch
 
-        outs = []
-        for h, store in enumerate(self.stores):
-            if n_cache == 0:
-                slot, attn = fns[h](xs[h])
-                store.values[key] = slot
-                store.counters[key] = np.zeros(n, dtype=np.int64)
-                if kind == KIND_SELF:
-                    store.attn_influence[layer] = score_s1(attn)
-                elif kind == KIND_CROSS:
-                    store.cross_entropy[layer] = score_s2(attn)
-            else:
-                slot, _ = cached_layer_apply(fns[h], xs[h], masks[h], store.values[key])
-                cache_update(store.counters[key], masks[h])
-                self.cache_counts[h][masks[h].cache_idx] += 1
-            outs.append(slot)
+        if self.batch == 2 and model.split_halves(model.call_flops(self.config, kind, n - n_cache)):
+            model.run_halves(lambda h: self._serve(h, layer, kind, xs[h], fns[h], masks[h]))
+            outs = [store.values[key] for store in self.stores]
+        else:
+            outs = []
+            for h in range(self.batch):
+                outs.append(self._serve(h, layer, kind, xs[h], fns[h], masks[h]))
         self.events.append(DispatchEvent(self.step, layer, kind, r_eff, n - n_cache, n_cache))
         if self.mask_log is not None:
             self.mask_log.append((self.step, layer, kind, [m.compute_idx for m in masks]))
         return outs
+
+    def _serve(self, h: int, layer: int, kind: str, x, fn, mask: ComputeMask) -> np.ndarray:
+        """Half h's share of a dispatch: its module call, splice and bookkeeping.
+
+        Touches only half h's store and row of cache_counts, so the two
+        halves of a pair may run on two threads. Returns half h's slot.
+        """
+        store = self.stores[h]
+        key = (layer, kind)
+        if mask is self._compute_all:  # n_cache == 0: compute every token
+            slot, attn = fn(x)
+            store.values[key] = slot
+            store.counters[key] = np.zeros(self.cache_counts.shape[1], dtype=np.int64)
+            if kind == KIND_SELF:
+                store.attn_influence[layer] = score_s1(attn)
+            elif kind == KIND_CROSS:
+                store.cross_entropy[layer] = score_s2(attn)
+            return slot
+        slot, _ = cached_layer_apply(fn, x, mask, store.values[key])
+        cache_update(store.counters[key], mask)
+        self.cache_counts[h][mask.cache_idx] += 1
+        return slot

@@ -19,13 +19,15 @@ a whole trajectory, so steady-state steps allocate no (N, D) array per module.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import linalg
-from .flops import FlopCounter
+from .flops import FlopCounter, flops_cross_attention, flops_mlp
 
 KIND_SELF = "self_attn"
 KIND_CROSS = "cross_attn"
@@ -39,6 +41,10 @@ WEIGHTS_MAGIC = "TOCA-W1"
 
 # float64 logits one group of attention heads may stack (256 KiB); see _attend
 _LOGITS_BUDGET = 32768
+
+# FLOPs one half of a guided module call must execute before the other half
+# runs on the worker thread; see split_halves
+_SPLIT_FLOPS = 12_000_000
 
 
 @dataclass(frozen=True)
@@ -213,22 +219,148 @@ def timestep_embedding(t: float, dim: int, scale: float = 1.0) -> np.ndarray:
 class Workspace:
     """Named float64 buffers that a forward reuses from call to call.
 
-    ``take(name, m, n)`` returns the first m rows of the C-contiguous buffer
-    kept under (name, n), allocated on first use and regrown only when a call
-    needs more rows than any before it. The next take of the same buffer
-    overwrites what a view holds, so callers copy what they keep. One
-    workspace serves one trajectory on one thread; run_generation builds one
-    per run.
+    ``take(name, m, n)`` returns a C-contiguous (m, n) view of the start of
+    the one flat buffer kept under ``name``, allocated on first use and
+    regrown only when a call needs more elements than any before it. Every
+    shape of a name shares that memory: a 256 x 256 self-attention map and a
+    256 x 16 cross-attention map, or the attention logits and the MLP hidden
+    layer, which are never live together. The next take of a name overwrites
+    what a view holds, so callers copy what they keep. A workspace is used
+    by one thread at a time: run_generation builds one per run, and the
+    worker thread that runs the second half of a guided call keeps its own
+    (see run_halves).
     """
 
     def __init__(self) -> None:
-        self._bufs: dict[tuple, np.ndarray] = {}
+        self._bufs: dict = {}  # name -> flat buffer
+        self._views: dict[tuple, np.ndarray] = {}  # (name, m, n) -> view of it
 
     def take(self, name, m: int, n: int) -> np.ndarray:
-        buf = self._bufs.get((name, n))
-        if buf is None or buf.shape[0] < m:
-            buf = self._bufs[name, n] = np.empty((m, n))
-        return buf if buf.shape[0] == m else buf[:m]
+        view = self._views.get((name, m, n))
+        if view is None:
+            buf = self._bufs.get(name)
+            if buf is None or buf.size < m * n:
+                if buf is not None:  # views of the dropped buffer would keep it alive
+                    self._views = {k: v for k, v in self._views.items() if k[0] != name}
+                buf = self._bufs[name] = np.empty(m * n)
+            view = self._views[name, m, n] = buf[: m * n].reshape(m, n)
+        return view
+
+
+# The one worker thread that runs the second half of a guided call (an
+# executor, started on first use under the lock; see run_halves), and its
+# thread-local scratch Workspace
+_worker = None
+_worker_start = threading.Lock()
+_worker_local = threading.local()
+
+
+def _forget_worker() -> None:
+    global _worker, _worker_start
+    _worker, _worker_start = None, threading.Lock()
+
+
+# a forked child has no worker thread; its first split starts a new one
+os.register_at_fork(after_in_child=_forget_worker)
+
+
+def call_flops(config: ModelConfig, kind: str, rows: int) -> int:
+    """FLOPs of one module call that computes ``rows`` query rows.
+
+    The count a FlopCounter records for the call. Attention of m query rows
+    against n key rows costs what the cross-attention closed form prices;
+    self-attention's keys span the N tokens, cross-attention's the text.
+    """
+    d = config.hidden
+    if kind == KIND_MLP:
+        return flops_mlp(rows, d)
+    if kind == KIND_FINAL:
+        return 2 * rows * d * d
+    keys = config.n_tokens if kind == KIND_SELF else config.text_tokens
+    return flops_cross_attention(rows, keys, d, config.heads)
+
+
+def split_halves(flops: int) -> bool:
+    """Whether a two-member call runs its halves on two threads.
+
+    Only when one half executes at least _SPLIT_FLOPS (call_flops) and the
+    process may run on two CPUs (os.sched_getaffinity, which ``taskset``
+    restricts). A split costs a thread round trip of about 20 us, and the
+    halves share the GIL: the NumPy calls of small modules mostly hold it,
+    so only calls whose matrix products release it for long enough gain.
+    Measured on a 2-vCPU VM with one BLAS thread, as the median over 40
+    interleaved rounds of guided toca-pixart DDIM generations against no
+    split: splitting at 8 MFLOP made a 4 x 64 model on 12 x 12 tokens, whose
+    largest calls are ~10 MFLOP, 6% slower; at 12 MFLOP an 8 x 128 model on
+    16 x 16 ran at 0.69 of its serial time (0.72 at 16 MFLOP), 4 x 96 on
+    12 x 12 at 0.94 and 4 x 64 on 16 x 16 at 0.82. Callers ask only for
+    batches of two, so a batch-1 run never starts the worker.
+    """
+    if flops < _SPLIT_FLOPS:
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
+
+
+def run_halves(work) -> None:
+    """Run work(1) on the worker thread while work(0) runs on the caller.
+
+    Returns only after both halves have stopped; an error of either half
+    then propagates, half 0's first. The worker computes in its own
+    Workspace, which ``scratch_for`` hands it.
+    """
+    global _worker
+    with _worker_start:  # callers on several threads still start one worker
+        if _worker is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _worker = ThreadPoolExecutor(1, "toca-half", _start_worker, (_current_cpu(),))
+    half1 = _worker.submit(work, 1)
+    try:
+        work(0)
+    except BaseException:
+        half1.exception()  # waits for half 1 to stop
+        raise
+    half1.result()
+
+
+def _current_cpu() -> int | None:
+    """The CPU the calling thread runs on, where /proc tells it."""
+    try:
+        with open("/proc/thread-self/stat") as fh:
+            # field 39; the command name in field 2 may hold spaces
+            return int(fh.read().rsplit(")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _start_worker(caller_cpu: int | None) -> None:
+    """Worker initializer: its own scratch, and a start off the caller's CPU.
+
+    On the 2-vCPU VM this was measured on, the kernel often started the
+    worker on its creator's CPU and never moved it: both halves then shared
+    one CPU while the other idled, and a split ran at 1.0-1.1x the serial
+    time. Narrowing the worker's affinity to the other allowed CPUs moves it
+    once; restoring the full set right after leaves ``taskset`` limits as
+    they were, and the worker kept waking on its own CPU (0.5-0.8x in the
+    same state).
+    """
+    if hasattr(os, "sched_setaffinity"):
+        allowed = os.sched_getaffinity(0)
+        others = allowed - {caller_cpu}
+        try:
+            if others and others != allowed:
+                os.sched_setaffinity(0, others)
+                os.sched_setaffinity(0, allowed)
+        except OSError:  # a placement hint only; the worker runs wherever it is
+            pass
+    _worker_local.ws = Workspace()
+
+
+def scratch_for(ws: Workspace) -> Workspace:
+    """The worker thread's own Workspace on the worker, ``ws`` elsewhere."""
+    return getattr(_worker_local, "ws", ws)
 
 
 def _buffer(ws: Workspace | None, name, m: int, n: int, out=None) -> np.ndarray:
@@ -253,7 +385,8 @@ def layer_norm_rows(x: np.ndarray, eps: float = 1e-6, out=None, ws=None) -> np.n
     return np.divide(centred, denom, out=out)
 
 
-def _take_rows(x: np.ndarray, rows, ws: Workspace | None) -> np.ndarray:
+def _take_rows(x: np.ndarray, rows, ws: Workspace | None, out=None) -> np.ndarray:
+    """x[rows], gathered into the first rows of ``out`` when given."""
     if rows is None:
         return x
     idx = np.asarray(rows, dtype=np.intp)
@@ -261,11 +394,15 @@ def _take_rows(x: np.ndarray, rows, ws: Workspace | None) -> np.ndarray:
     # viewed as unsigned, a negative id exceeds any n: one max checks both ends
     if idx.size and idx.view(np.uintp).max() >= n:
         raise IndexError(f"row ids must lie in [0, {n})")
-    if ws is None:
+    if out is not None:
+        out = out[: idx.shape[0]]
+    elif ws is None:
         return x[idx]
+    else:
+        out = ws.take("rows", idx.shape[0], x.shape[1])
     # the ids are in range, so "clip" clips nothing; mode="raise" would stage
     # the rows through a temporary
-    return np.take(x, idx, axis=0, out=ws.take("rows", idx.shape[0], x.shape[1]), mode="clip")
+    return np.take(x, idx, axis=0, out=out, mode="clip")
 
 
 def _attend(
@@ -396,7 +533,8 @@ def mlp_forward(
     xr = _take_rows(x, rows, ws)
     m, d = xr.shape
     d2 = weights.w1.shape[1]
-    h = np.matmul(xr, weights.w1, out=_buffer(ws, "hidden", m, d2))
+    # the hidden layer shares its workspace memory with the attention logits
+    h = np.matmul(xr, weights.w1, out=_buffer(ws, "logits", m, d2))
     np.maximum(h, 0.0, out=h)
     out = np.matmul(h, weights.w2, out=_buffer(ws, "out", m, d, out))
     if counter is not None:
@@ -494,6 +632,13 @@ class Model:
         under a context, and one reused buffer per stream without one;
         nothing else keeps them past the residual add.
 
+        A batch of two whose modules pass split_halves runs each module's
+        second half on the worker thread while the first runs here (see
+        run_halves): without a context here, under one in the context's
+        dispatch. The worker computes its scratch in its own Workspace and
+        writes only its own stream's rows, output and slot in ``ws``; the
+        residual adds stay on this thread, so no output bit depends on it.
+
         Under a context, each dispatch gets the raw residual streams, and its
         module callables normalise only the rows the module reads: all N for
         self-attention, whose keys and values span the stream, the computed
@@ -537,26 +682,37 @@ class Model:
             slot = ws.take(("slot", layer, kind, h), n, d)
 
             def fn(x, rows=None):
+                scratch = ws if h == 0 else scratch_for(ws)
                 out = slot if rows is None else None
-                if kind != KIND_FINAL:
-                    if rows is not None and kind != KIND_SELF:
-                        x, rows = _take_rows(x, rows, ws), None
-                    x = layer_norm_rows(x, out=normed[h][: x.shape[0]], ws=ws)
-                return self._apply(layer, kind, conds[h], x, rows, out=out, ws=ws)
+                if rows is not None and kind != KIND_SELF:
+                    # the rows the module reads go straight to this stream's
+                    # normed rows, and are normalised there
+                    x, rows = _take_rows(x, rows, None, out=normed[h]), None
+                    if kind != KIND_FINAL:
+                        x = layer_norm_rows(x, out=x, ws=scratch)
+                elif kind != KIND_FINAL:
+                    x = layer_norm_rows(x, out=normed[h], ws=scratch)
+                return self._apply(layer, kind, conds[h], x, rows, out=out, ws=scratch)
 
             return fn
+
+        def uncached_module(layer, kind, h):
+            scratch = ws if h == 0 else scratch_for(ws)
+            x = streams[h]
+            if kind != KIND_FINAL:
+                x = layer_norm_rows(x, out=normed[h], ws=scratch)
+            self._apply(layer, kind, conds[h], x, out=outputs[h], ws=scratch)
 
         def run(layer, kind):
             if cache_ctx is not None:
                 fns = [cached_module(layer, kind, h) for h in halves]
                 return cache_ctx.dispatch(layer, kind, streams, fns)
-            hs = streams if kind == KIND_FINAL else [
-                layer_norm_rows(streams[h], out=normed[h], ws=ws) for h in halves
-            ]
-            return [
-                self._apply(layer, kind, conds[h], hs[h], out=outputs[h], ws=ws)[0]
-                for h in halves
-            ]
+            if len(xs) == 2 and split_halves(call_flops(cfg, kind, n)):
+                run_halves(lambda h: uncached_module(layer, kind, h))
+            else:
+                for h in halves:
+                    uncached_module(layer, kind, h)
+            return outputs
 
         for layer, kind in cfg.sites:
             if site_hook is not None:

@@ -173,7 +173,10 @@ def run_generation(
     is passed to every Model.forward_batch call: it sees the live per-half
     residual streams right before every module, head included, and may edit
     them. They are reused buffers, so it copies what it keeps. One Workspace
-    serves every step, so steps reuse the forward's buffers.
+    serves every step, so steps reuse the forward's buffers. Under guidance,
+    module calls large enough to pass model.split_halves run the conditional
+    half on the model's worker thread (see Model.forward_batch); the blend
+    and the sampler step stay on this thread, and hooks run here too.
     """
     if sampler not in SAMPLERS:
         raise ValueError(f"sampler must be one of {SAMPLERS}")
