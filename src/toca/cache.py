@@ -264,16 +264,8 @@ def score_s1(attn: np.ndarray, lam1: float = 1.0) -> np.ndarray:
     return lam1 * a.sum(axis=0)
 
 
-def score_s2(cross_attn: np.ndarray | None, n_tokens: int | None = None) -> np.ndarray:
-    """Cross-attention row entropy, -sum_j c_ij ln c_ij with 0 ln 0 = 0.
-
-    Class-conditional models have no cross-attention map; passing None with an
-    explicit token count returns zeros (the score is disabled).
-    """
-    if cross_attn is None:
-        if n_tokens is None:
-            raise ValueError("need n_tokens when there is no cross-attention map")
-        return np.zeros(n_tokens)
+def score_s2(cross_attn: np.ndarray) -> np.ndarray:
+    """Cross-attention row entropy, -sum_j c_ij ln c_ij with 0 ln 0 = 0."""
     c = np.asarray(cross_attn, dtype=np.float64)
     if c.ndim != 2:
         raise ValueError("cross-attention map must be 2-D")
@@ -412,6 +404,8 @@ class CacheStore:
 
 @dataclass
 class DispatchEvent:
+    """One dispatch of a run as the plan gave it: its r_eff and token counts."""
+
     step: int
     layer: int
     kind: str
@@ -426,11 +420,13 @@ class CacheContext:
     ``plan`` is the run's dispatch_plan, shared read-only by every context of
     the same (schedule, config, total_steps): every dispatch takes its r_eff
     and cached-token count from it, and a dispatch for a site outside
-    ``config.sites`` is rejected. State is single-run: one context per
-    sampling trajectory (or guidance pair). The dispatches of a run come from
-    one thread; inside a dispatch of a pair, half 1's share may run on the
-    model's worker thread (see _serve). Independent runs get independent
-    contexts and can execute in parallel processes.
+    ``config.sites`` is rejected. The plan is also the run's dispatch log;
+    the context records what it cannot tell, the per-token cache counts and,
+    on request, every dispatch's compute ids (``mask_log``). State is
+    single-run: one context per sampling trajectory (or guidance pair). The
+    dispatches of a run come from one thread; inside a dispatch of a pair,
+    half 1's share may run on the model's worker thread (see _serve).
+    Independent runs get independent contexts and can run in parallel.
     """
 
     def __init__(
@@ -460,7 +456,6 @@ class CacheContext:
         self._compute_all = ComputeMask(compute_idx=every, cache_idx=none)
         self._cache_all = ComputeMask(compute_idx=none, cache_idx=every)
         self.stores = [CacheStore() for _ in range(batch)]
-        self.events: list[DispatchEvent] = []
         self.cache_counts = np.zeros((batch, config.n_tokens), dtype=np.int64)
         self.mask_log: list[tuple[int, int, str, list[np.ndarray]]] | None = (
             [] if record_masks else None
@@ -504,9 +499,10 @@ class CacheContext:
         and ages the cached ones. Returns the per-half slots, which are the
         module outputs until the next dispatch of the same (layer, kind).
 
-        Once the masks are chosen, a pair whose call passes model.split_halves
-        (sized by the computed rows) runs half 1's share on the model's worker
-        thread while half 0's runs here; dispatch returns after both.
+        Once the masks are chosen, model.each_half serves the halves, sized
+        by the rows they compute: a large enough pair runs half 1's share on
+        the model's worker thread while half 0's runs here, and a dispatch
+        that computes no row stays here. dispatch returns after both.
         """
         if self.step is None:
             raise RuntimeError("begin_step must be called before dispatch")
@@ -537,36 +533,30 @@ class CacheContext:
         else:
             masks = [self._compute_all if n_cache == 0 else self._cache_all] * self.batch
 
-        if self.batch == 2 and model.split_halves(model.call_flops(self.config, kind, n - n_cache)):
-            model.run_halves(lambda h: self._serve(h, layer, kind, xs[h], fns[h], masks[h]))
-            outs = [store.values[key] for store in self.stores]
-        else:
-            outs = []
-            for h in range(self.batch):
-                outs.append(self._serve(h, layer, kind, xs[h], fns[h], masks[h]))
-        self.events.append(DispatchEvent(self.step, layer, kind, r_eff, n - n_cache, n_cache))
+        model.each_half(
+            self.config, kind, n - n_cache, self.batch,
+            lambda h: self._serve(h, layer, kind, xs[h], fns[h], masks[h]),
+        )
         if self.mask_log is not None:
             self.mask_log.append((self.step, layer, kind, [m.compute_idx for m in masks]))
-        return outs
+        return [store.values[key] for store in self.stores]
 
-    def _serve(self, h: int, layer: int, kind: str, x, fn, mask: ComputeMask) -> np.ndarray:
+    def _serve(self, h: int, layer: int, kind: str, x, fn, mask: ComputeMask) -> None:
         """Half h's share of a dispatch: its module call, splice and bookkeeping.
 
         Touches only half h's store and row of cache_counts, so the two
-        halves of a pair may run on two threads. Returns half h's slot.
+        halves of a pair may run on two threads.
         """
         store = self.stores[h]
         key = (layer, kind)
         if mask is self._compute_all:  # n_cache == 0: compute every token
-            slot, attn = fn(x)
-            store.values[key] = slot
+            store.values[key], attn = fn(x)
             store.counters[key] = np.zeros(self.cache_counts.shape[1], dtype=np.int64)
             if kind == KIND_SELF:
                 store.attn_influence[layer] = score_s1(attn)
             elif kind == KIND_CROSS:
                 store.cross_entropy[layer] = score_s2(attn)
-            return slot
-        slot, _ = cached_layer_apply(fn, x, mask, store.values[key])
-        cache_update(store.counters[key], mask)
-        self.cache_counts[h][mask.cache_idx] += 1
-        return slot
+        else:
+            cached_layer_apply(fn, x, mask, store.values[key])
+            cache_update(store.counters[key], mask)
+            self.cache_counts[h][mask.cache_idx] += 1

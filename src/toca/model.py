@@ -293,14 +293,28 @@ def split_halves(flops: int) -> bool:
     split: splitting at 8 MFLOP made a 4 x 64 model on 12 x 12 tokens, whose
     largest calls are ~10 MFLOP, 6% slower; at 12 MFLOP an 8 x 128 model on
     16 x 16 ran at 0.69 of its serial time (0.72 at 16 MFLOP), 4 x 96 on
-    12 x 12 at 0.94 and 4 x 64 on 16 x 16 at 0.82. Callers ask only for
-    batches of two, so a batch-1 run never starts the worker.
+    12 x 12 at 0.94 and 4 x 64 on 16 x 16 at 0.82. Only each_half asks,
+    and only for batches of two, so a batch-1 run never starts the worker.
     """
     if flops < _SPLIT_FLOPS:
         return False
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0)) > 1
     return (os.cpu_count() or 1) > 1
+
+
+def each_half(config: ModelConfig, kind: str, rows: int, batch: int, work) -> None:
+    """Run work(h) for each member h of a module call computing ``rows`` rows each.
+
+    The one split decision: a pair whose call computes rows and passes
+    split_halves (call_flops) runs on two threads (run_halves); every other
+    call, one that computes no row included, runs its members here in order.
+    """
+    if batch == 2 and rows > 0 and split_halves(call_flops(config, kind, rows)):
+        run_halves(work)
+    else:
+        for h in range(batch):
+            work(h)
 
 
 def run_halves(work) -> None:
@@ -360,7 +374,8 @@ def _start_worker(caller_cpu: int | None) -> None:
 
 def scratch_for(ws: Workspace) -> Workspace:
     """The worker thread's own Workspace on the worker, ``ws`` elsewhere."""
-    return getattr(_worker_local, "ws", ws)
+    # the thread's own dict: a getattr miss raises and catches (0.6 us on CPython 3.11)
+    return _worker_local.__dict__.get("ws", ws)
 
 
 def _buffer(ws: Workspace | None, name, m: int, n: int, out=None) -> np.ndarray:
@@ -628,16 +643,17 @@ class Model:
 
         Every intermediate lives in ``ws``; pass the same workspace on every
         step of a trajectory so steps reuse its buffers (a new one is made
-        per call otherwise). Module outputs are the context's cache slots
-        under a context, and one reused buffer per stream without one;
-        nothing else keeps them past the residual add.
+        per call otherwise). One module callable per (site, half) serves
+        both forwards: its full call writes the context's cache slot under a
+        context, and one reused buffer per stream without one; nothing else
+        keeps them past the residual add.
 
-        A batch of two whose modules pass split_halves runs each module's
-        second half on the worker thread while the first runs here (see
-        run_halves): without a context here, under one in the context's
-        dispatch. The worker computes its scratch in its own Workspace and
-        writes only its own stream's rows, output and slot in ``ws``; the
-        residual adds stay on this thread, so no output bit depends on it.
+        each_half decides whether a batch of two runs a module's second half
+        on the worker thread while the first runs here: without a context
+        here, under one in the context's dispatch. The worker computes its
+        scratch in its own Workspace and writes only its own stream's rows,
+        output and slot in ``ws``; the residual adds stay on this thread, so
+        no output bit depends on it.
 
         Under a context, each dispatch gets the raw residual streams, and its
         module callables normalise only the rows the module reads: all N for
@@ -676,14 +692,14 @@ class Model:
         # stream of an uncached forward needs its own output buffer
         outputs = per_stream("out") if cache_ctx is None else None
 
-        def cached_module(layer, kind, h):
+        def module(layer, kind, h):
             # A full call computes into this site's slot buffer, which the
-            # context keeps as its cache slot; row subsets go to scratch.
-            slot = ws.take(("slot", layer, kind, h), n, d)
+            # context keeps, or the stream's output; row subsets go to scratch.
+            full = outputs[h] if cache_ctx is None else ws.take(("slot", layer, kind, h), n, d)
 
             def fn(x, rows=None):
-                scratch = ws if h == 0 else scratch_for(ws)
-                out = slot if rows is None else None
+                scratch = scratch_for(ws)
+                out = full if rows is None else None
                 if rows is not None and kind != KIND_SELF:
                     # the rows the module reads go straight to this stream's
                     # normed rows, and are normalised there
@@ -696,22 +712,11 @@ class Model:
 
             return fn
 
-        def uncached_module(layer, kind, h):
-            scratch = ws if h == 0 else scratch_for(ws)
-            x = streams[h]
-            if kind != KIND_FINAL:
-                x = layer_norm_rows(x, out=normed[h], ws=scratch)
-            self._apply(layer, kind, conds[h], x, out=outputs[h], ws=scratch)
-
         def run(layer, kind):
+            fns = [module(layer, kind, h) for h in halves]
             if cache_ctx is not None:
-                fns = [cached_module(layer, kind, h) for h in halves]
                 return cache_ctx.dispatch(layer, kind, streams, fns)
-            if len(xs) == 2 and split_halves(call_flops(cfg, kind, n)):
-                run_halves(lambda h: uncached_module(layer, kind, h))
-            else:
-                for h in halves:
-                    uncached_module(layer, kind, h)
+            each_half(cfg, kind, n, len(xs), lambda h: fns[h](streams[h]))
             return outputs
 
         for layer, kind in cfg.sites:

@@ -162,10 +162,11 @@ def run_generation(
 
     The denoising loop visits t = T..1 (step index s = t - T counts up from
     0). A schedule that can never cache (R = 0, or none at all) runs the
-    plain uncached forward; otherwise every module application routes through
-    one CacheContext shared across the whole trajectory. With guidance w the
-    model runs a two-stream batch [unconditional, conditional] in lockstep
-    and blends the halves.
+    plain uncached forward and logs no dispatch; otherwise every module
+    application routes through one CacheContext shared across the whole
+    trajectory, and ``stats.events`` is its dispatch plan in run order. With
+    guidance w the model runs a two-stream batch [unconditional, conditional]
+    in lockstep and blends the halves.
 
     step_hook, when given, is called as step_hook(step, t, x_t, halves) with
     the pre-update sample and the per-half noise predictions (a list of
@@ -174,7 +175,7 @@ def run_generation(
     residual streams right before every module, head included, and may edit
     them. They are reused buffers, so it copies what it keeps. One Workspace
     serves every step, so steps reuse the forward's buffers. Under guidance,
-    module calls large enough to pass model.split_halves run the conditional
+    module calls that model.each_half finds large enough run the conditional
     half on the model's worker thread (see Model.forward_batch); the blend
     and the sampler step stay on this thread, and hooks run here too.
     """
@@ -220,12 +221,15 @@ def run_generation(
         else:
             x = ddim_step(x, eps, t, schedule)
 
-    stats = RunStats(
-        total_steps=total,
-        fresh_steps=list(ctx.fresh_steps) if ctx is not None else list(range(total)),
-        events=list(ctx.events) if ctx is not None else [],
-        cache_counts=ctx.cache_counts.copy() if ctx is not None else None,
-        eps_history=eps_history,
-        mask_log=ctx.mask_log if ctx is not None else None,
-    )
+    stats = RunStats(total_steps=total, fresh_steps=list(range(total)), eps_history=eps_history)
+    if ctx is not None:
+        n = cfg.n_tokens
+        stats.fresh_steps = list(ctx.fresh_steps)
+        stats.events = [
+            DispatchEvent(step, layer, kind, r_eff, n - n_cache, n_cache)
+            for step, row in enumerate(ctx.plan)
+            for (layer, kind), (r_eff, n_cache) in row.items()
+        ]
+        stats.cache_counts = ctx.cache_counts.copy()
+        stats.mask_log = ctx.mask_log
     return FeatureMatrix(x, cfg.grid), stats

@@ -205,13 +205,6 @@ def test_s2_entropy_oracles():
     assert score_s2(np.array([[0.5, 0.5, 0.0, 0.0]]))[0] == pytest.approx(np.log(2.0))
 
 
-def test_s2_disabled_without_cross_attention():
-    z = score_s2(None, n_tokens=6)
-    assert np.array_equal(z, np.zeros(6))
-    with pytest.raises(ValueError):
-        score_s2(None)
-
-
 @settings(deadline=None, max_examples=50)
 @given(st.integers(1, 8), st.integers(2, 9), st.integers(0, 2**32 - 1))
 def test_s2_bounded_by_log_width(n, width, seed):
@@ -356,7 +349,7 @@ def test_selection_coupled_sums_halves():
             ctx.begin_step(step)
             ctx.dispatch(0, "self_attn", [None, None], fns)
         computed[coupled] = [idx.tolist() for idx in ctx.mask_log[-1][3]]
-        assert ctx.events[-1].cached == 1
+        assert ctx.cache_counts.sum(axis=1).tolist() == [1, 1]  # one token per half
     assert computed[True] == [[0, 2], [0, 2]]
     assert computed[False] == [[0, 1], [1, 2]]
 
@@ -526,9 +519,8 @@ def test_dispatch_caching_nothing_at_a_non_fresh_step_refreshes_everything():
     assert np.array_equal(store.values[key], last["out"])
     assert store.counters[key].tolist() == [0, 0, 0, 0]
     assert np.array_equal(store.attn_influence[0], last["attn"].sum(axis=0))
-    event = ctx.events[-1]
-    assert (event.step, event.computed, event.cached) == (1, 4, 0)
-    assert event.r_eff == pytest.approx(0.2)
+    assert ctx.plan[1][key] == (pytest.approx(0.2), 0)
+    assert ctx.mask_log[-1][:3] == (1, 0, "self_attn")
     assert ctx.mask_log[-1][3][0].tolist() == [0, 1, 2, 3]
     with pytest.raises(ValueError):  # shared by every such dispatch, so read-only
         ctx.mask_log[-1][3][0][0] = 1
@@ -558,13 +550,13 @@ def test_dispatch_requires_begin_step_in_range():
 def test_dispatch_cache_counts_accumulate():
     rng = np.random.default_rng(2)
     sched = neutral(ratio=0.5, cycle=2, lam3=0.25, grid_size=1)
-    ctx = _ctx(sched, total_steps=6)
+    ctx = _ctx(sched, total_steps=6, record_masks=True)
     fn = _fake_module(rng, 4)
 
     for step in range(6):
         ctx.begin_step(step)
         ctx.dispatch(0, "self_attn", [None], [fn])
-    total_cached = sum(e.cached for e in ctx.events)
+    total_cached = sum(4 - len(idx[0]) for *_, idx in ctx.mask_log)
     assert ctx.cache_counts.sum() == total_cached
     assert total_cached == 3 * 2  # three non-fresh steps cache floor(0.5*4) each
 
@@ -573,7 +565,7 @@ def test_dispatch_final_kind_uses_last_layer_stats():
     """The output head at index depth scores with the deepest layer's maps."""
     rng = np.random.default_rng(3)
     sched = neutral(ratio=0.5, cycle=2, lam1=1.0, grid_size=1)
-    ctx = _ctx(sched, total_steps=4, depth=1)
+    ctx = _ctx(sched, total_steps=4, depth=1, record_masks=True)
     attn_fn = _fake_module(rng, 4)
     head_fn = _fake_module(rng, 4, with_map=False)
 
@@ -581,17 +573,17 @@ def test_dispatch_final_kind_uses_last_layer_stats():
         ctx.begin_step(step)
         ctx.dispatch(0, "self_attn", [None], [attn_fn])
         ctx.dispatch(1, "final", [None], [head_fn])
-    kinds = {(e.layer, e.kind) for e in ctx.events}
-    assert (1, "final") in kinds
+    head = [len(idx[0]) for _, layer, kind, idx in ctx.mask_log if (layer, kind) == (1, "final")]
+    assert head == [4, 2, 4, 2]  # partial head dispatches ran at the non-fresh steps
 
 
 @pytest.mark.parametrize("site", [(0, "cross_attn"), (1, "mlp"), (0, "final"), (2, "final")])
 def test_dispatch_outside_the_model_sites_rejected(site):
-    ctx = _ctx(neutral(ratio=0.5), total_steps=6, depth=1)
+    ctx = _ctx(neutral(ratio=0.5), total_steps=6, depth=1, record_masks=True)
     ctx.begin_step(0)
     with pytest.raises(ValueError, match=re.escape(str(site))):
         ctx.dispatch(*site, [None], [lambda x, rows=None: (np.zeros((4, 8)), None)])
-    assert ctx.events == [] and ctx.stores[0].values == {}
+    assert ctx.mask_log == [] and ctx.stores[0].values == {}
 
 
 # -- slots as module outputs through the model --------------------------------
@@ -605,7 +597,7 @@ def _guided_text_model():
 
 def test_cached_forward_output_survives_later_steps():
     c, model, (_, cond) = _guided_text_model()
-    ctx = CacheContext(neutral(ratio=0.5, cycle=3), c, total_steps=4)
+    ctx = CacheContext(neutral(ratio=0.5, cycle=3), c, total_steps=4, record_masks=True)
     ws = Workspace()
     rng = np.random.default_rng(2)
     outs, kept = [], []
@@ -614,7 +606,7 @@ def test_cached_forward_output_survives_later_steps():
         x = FeatureMatrix(rng.normal(size=(9, 8)), c.grid)
         outs.append(model.forward(x, float(4 - step), cond, cache_ctx=ctx, ws=ws))
         kept.append(outs[-1].values.copy())
-    assert [e.cached for e in ctx.events if e.kind == "final"] == [0, 4, 4, 0]
+    assert [9 - len(idx[0]) for _, _, kind, idx in ctx.mask_log if kind == "final"] == [0, 4, 4, 0]
     for out, values in zip(outs, kept):
         assert np.array_equal(out.values, values)
 
@@ -628,7 +620,7 @@ def test_coupled_guided_batch_matches_single_streams():
     c, model, conds = _guided_text_model()
     sched = neutral(ratio=0.5, cycle=3, lam1=0.0, lam2=0.0, lam3=0.0, lam4=0.0, cfg_coupled=True)
     total = 6
-    pair = CacheContext(sched, c, total, batch=2)
+    pair = CacheContext(sched, c, total, batch=2, record_masks=True)
     singles = [CacheContext(sched, c, total) for _ in conds]
     ws_pair, ws_singles = Workspace(), [Workspace() for _ in conds]
     rng = np.random.default_rng(9)
@@ -641,7 +633,7 @@ def test_coupled_guided_batch_matches_single_streams():
             ctx.begin_step(step)
             single = model.forward(x, t, conds[h], cache_ctx=ctx, ws=ws)
             assert np.array_equal(both[h].values, single.values)
-    assert sum(0 < e.cached < 9 for e in pair.events) > 0  # partial dispatches ran
+    assert sum(0 < len(idx[0]) < 9 for *_, idx in pair.mask_log) > 0  # partial dispatches ran
 
 
 # -- the dispatch plan ----------------------------------------------------------
@@ -651,14 +643,18 @@ def test_coupled_guided_batch_matches_single_streams():
 @pytest.mark.parametrize("guided", [False, True])
 @pytest.mark.parametrize("profile", sorted(PROFILES))
 def test_run_dispatches_follow_the_plan(profile, guided, text_tokens):
-    """Every dispatch of a run is the plan's (step, layer, kind, r_eff, n_cache)."""
+    """Every dispatch of a run follows the plan in order, and computes N - n_cache tokens.
+
+    The engine's own record is read: the (step, layer, kind) of every
+    mask_log entry, each half's compute ids and the per-token cache counts.
+    """
     c = ModelConfig(depth=2, hidden=8, heads=2, grid_h=4, grid_w=4, text_tokens=text_tokens)
     model = init_model(c, seed=3)
     cond = Conditioning.random_text(c, 1) if text_tokens else Conditioning.random_class(c, 1)
     conds = [Conditioning.null_for(c), cond] if guided else [cond]
     total = 12
     sched = PROFILES[profile]
-    ctx = CacheContext(sched, c, total, batch=len(conds))
+    ctx = CacheContext(sched, c, total, batch=len(conds), record_masks=True)
     ws = Workspace()
     rng = np.random.default_rng(5)
     for step in range(total):
@@ -667,15 +663,17 @@ def test_run_dispatches_follow_the_plan(profile, guided, text_tokens):
         model.forward_batch([x] * len(conds), float(total - step), conds, cache_ctx=ctx, ws=ws)
 
     plan = dispatch_plan(sched, c, total)
+    assert ctx.plan is plan
     assert len(plan) == total and all(tuple(row) == c.sites for row in plan)
-    got = [(e.step, e.layer, e.kind, e.r_eff, e.cached) for e in ctx.events]
+    got = [(step, layer, kind, [len(i) for i in idx]) for step, layer, kind, idx in ctx.mask_log]
     want = [
-        (step, layer, kind, r_eff, n_cache)
+        (step, layer, kind, [c.n_tokens - n_cache] * len(conds))
         for step, row in enumerate(plan)
-        for (layer, kind), (r_eff, n_cache) in row.items()
+        for (layer, kind), (_, n_cache) in row.items()
     ]
     assert got == want
-    assert all(e.computed + e.cached == c.n_tokens for e in ctx.events)
+    planned_cached = sum(n_cache for row in plan for _, n_cache in row.values())
+    assert ctx.cache_counts.sum(axis=1).tolist() == [planned_cached] * len(conds)
     for step in cycle_plan(sched, total):
         assert all(planned == (0.0, 0) for planned in plan[step].values())
 

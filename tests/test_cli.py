@@ -1,5 +1,6 @@
 """End-to-end tests that drive the command line in-process."""
 
+import hashlib
 import json
 import math
 
@@ -417,3 +418,33 @@ def test_weights_file_with_time_scale(tmp_path):
         x0[scale] = read_feature_grid((out / "x0.bin").as_posix())[0].values
         assert np.all(np.isfinite(x0[scale]))
     assert not np.array_equal(x0["0.5"], x0["1.0"])
+
+
+# sha256 of the dispatch log and the summary of two small runs: any change in
+# the order, values or format of either file fails here
+PINNED_ARTIFACTS = {
+    "guided text toca-pixart, ddim": (
+        SMALL.replace("grid_w = 4\n", "grid_w = 4\ntext_tokens = 3\n")
+        + "kind = ddim\nguidance = 3.0\n\n[cache]\nprofile = toca-pixart\n",
+        {
+            "dispatch.csv": "0902a73225d1587a370aa2b352f6a1bde9f2b610ba2517f17c521b59bb46247e",
+            "stats.json": "c32e331b7b2939f30dafebbefe23da9fd9c3c755c663b26c5e1898c97cda3032",
+        },
+    ),
+    "class toca-dit, ddpm": (
+        SMALL + "kind = ddpm\n\n[cache]\nprofile = toca-dit\n",
+        {
+            "dispatch.csv": "f5a0681069e78c103278e200681d2fb1362e05bc2059450bb827b006a3487ee7",
+            "stats.json": "86c63489dd0e75688075380985c4f8073bad8a1272cea7334ee104e7086a0411",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ARTIFACTS))
+def test_sample_log_bytes_are_pinned(tmp_path, name):
+    body, want = PINNED_ARTIFACTS[name]
+    out = tmp_path / "out"
+    assert cli.main(["sample", "-c", _write_cfg(tmp_path, body), "--out", out.as_posix()]) == 0
+    got = {f: hashlib.sha256(_read(out / f)).hexdigest() for f in want}
+    assert got == want

@@ -1,8 +1,8 @@
 """The worker thread that runs the second half of a guided call.
 
-Every test forces the split on or off through the one decision function,
-model.split_halves, so a runner with a single CPU still runs the threaded
-path.
+Every test forces the split on or off through model.split_halves, the size
+and CPU rule that model.each_half consults, so a runner with a single CPU
+still runs the threaded path.
 """
 
 import concurrent.futures
@@ -22,6 +22,7 @@ import pytest
 import toca.model as tm
 from toca import (
     PROFILES,
+    CacheContext,
     Conditioning,
     FlopCounter,
     ModelConfig,
@@ -84,6 +85,29 @@ def test_worker_on_and_off_agree_bitwise(monkeypatch, text, profile, sampler, co
         runs[on] = _record(*_generate(model, cond, profile, sampler, coupled))
         assert bool(calls) == on
     assert runs[True] == runs[False]
+
+
+def test_dispatches_that_compute_no_row_stay_on_the_caller(monkeypatch):
+    # toca-pixart reuses all of self-attention at non-fresh steps: such a
+    # dispatch calls no module, so a thread round trip would buy nothing
+    model, cond = _toy(text=True)
+    _force(monkeypatch, False)
+    want = _record(*_generate(model, cond))
+    _force(monkeypatch, True)
+    site, split = [None], []
+    dispatch, run_halves = CacheContext.dispatch, tm.run_halves
+
+    def recording_dispatch(ctx, layer, kind, xs, fns):
+        site[0] = (ctx.step, layer, kind)
+        return dispatch(ctx, layer, kind, xs, fns)
+
+    monkeypatch.setattr(CacheContext, "dispatch", recording_dispatch)
+    monkeypatch.setattr(tm, "run_halves", lambda work: split.append(site[0]) or run_halves(work))
+    x0, stats = _generate(model, cond)
+    assert _record(x0, stats) == want
+    n = model.config.n_tokens
+    assert split == [(e.step, e.layer, e.kind) for e in stats.events if e.cached < n]
+    assert any(e.cached == n for e in stats.events) and split
 
 
 def test_worker_runs_half_one_on_its_own_thread_and_scratch(monkeypatch):
