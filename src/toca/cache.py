@@ -113,7 +113,8 @@ def cycle_plan(schedule: CacheSchedule, total_steps: int) -> list[int]:
     Step 0 is always fresh. After a fresh step t the next one follows after
     round(N_t) steps where N_t = cycle / (center + cycle_slope * (t/T - 0.5)),
     rounded half-up and clamped to at least 1. Inside the optional fixed
-    window [start, end) the cycle length is pinned to fixed_cycle_len.
+    window [start, end) the cycle length is pinned to fixed_cycle_len. A
+    cycle with N_t >= total_steps reaches past the run's end and ends the plan.
     """
     schedule.validate()
     if total_steps < 1:
@@ -129,6 +130,8 @@ def cycle_plan(schedule: CacheSchedule, total_steps: int) -> list[int]:
             n = schedule.fixed_cycle_len
         else:
             denom = schedule.center + schedule.cycle_slope * (t / total_steps - 0.5)
+            if schedule.cycle >= denom * total_steps:  # int vs float compares exactly, never raises
+                break
             n = math.floor(schedule.cycle / denom + 0.5)
         t += max(1, n)
     return fresh
@@ -214,25 +217,39 @@ def cache_token_count(r_eff: float, n_tokens: int) -> int:
     return min(max(n, 0), n_tokens)
 
 
+@dataclass(frozen=True)
+class DispatchEvent:
+    """One (step, layer, module kind) dispatch: its r_eff and token counts."""
+
+    step: int
+    layer: int
+    kind: str
+    r_eff: float
+    computed: int
+    cached: int
+
+
 @functools.lru_cache(maxsize=64)
 def dispatch_plan(
     schedule: CacheSchedule, config, total_steps: int
 ) -> tuple[MappingProxyType, ...]:
-    """The cached ratio and token count of every dispatch of a run.
+    """The DispatchEvent of every dispatch of a run.
 
-    plan[step][(layer, kind)] = (r_eff, n_cache) for every site of
-    ``config.sites``, with r_eff = 0 at the fresh steps of cycle_plan. This is
-    the one place the schedule becomes per-dispatch counts: the cache engine
-    serves its dispatches from the table and the FLOPs model prices it.
+    plan[step][(layer, kind)] caches floor(r_eff * N) tokens of that site of
+    ``config.sites`` and computes the rest, with r_eff = 0 at cycle_plan's
+    fresh steps. This is the one place the schedule becomes per-dispatch
+    counts: the engine serves these events, the sampler returns them and the
+    FLOPs model prices them.
 
     The plan depends on nothing but its arguments, so it is built once per
     (schedule, config, total_steps) and shared read-only: a tuple of
-    read-only mappings, which every context of that config reads.
+    read-only mappings of frozen events, which every run of that config reads.
     """
     fresh = set(cycle_plan(schedule, total_steps))
     factors = type_ratio_factors(
         schedule, config.hidden, config.heads, config.n_tokens, config.text_tokens
     )
+    n = config.n_tokens
     plan = []
     for step in range(total_steps):
         row = {}
@@ -240,7 +257,8 @@ def dispatch_plan(
             r_eff = 0.0 if step in fresh else effective_cache_ratio(
                 layer, step, kind, schedule, config.depth, total_steps, factors
             )
-            row[(layer, kind)] = (r_eff, cache_token_count(r_eff, config.n_tokens))
+            n_cache = cache_token_count(r_eff, n)
+            row[(layer, kind)] = DispatchEvent(step, layer, kind, r_eff, n - n_cache, n_cache)
         plan.append(MappingProxyType(row))
     return tuple(plan)
 
@@ -342,10 +360,6 @@ class ComputeMask:
     def n_computed(self) -> int:
         return self.compute_idx.shape[0]
 
-    @property
-    def n_cached(self) -> int:
-        return self.cache_idx.shape[0]
-
 
 def select_compute_set(scores, r_eff: float) -> ComputeMask:
     """Cache the floor(r_eff * N) lowest-scoring tokens, compute the rest.
@@ -369,16 +383,13 @@ def cached_layer_apply(fn, x: np.ndarray, mask: ComputeMask, slot_values: np.nda
     fn(x, rows) evaluates the module for the given query rows of the raw
     residual stream x, normalising what the module reads itself, and returns
     (rows_out, map or None); the map is dropped. The fresh rows overwrite
-    their rows of the slot in place. Returns (slot_values, fresh_rows);
-    fresh_rows is None when the mask computes nothing.
+    their rows of the slot in place; a mask that computes nothing leaves the
+    slot as it is.
     """
     if slot_values is None:
         raise RuntimeError("cache slot is empty; a fresh step must run first")
-    if mask.n_computed == 0:
-        return slot_values, None
-    fresh = fn(x, mask.compute_idx)[0]
-    slot_values[mask.compute_idx] = fresh
-    return slot_values, fresh
+    if mask.n_computed > 0:
+        slot_values[mask.compute_idx] = fn(x, mask.compute_idx)[0]
 
 
 def cache_update(counters: np.ndarray, mask: ComputeMask) -> None:
@@ -402,27 +413,15 @@ class CacheStore:
         self.cross_entropy: dict[int, np.ndarray] = {}  # raw s2 row entropies per layer
 
 
-@dataclass
-class DispatchEvent:
-    """One dispatch of a run as the plan gave it: its r_eff and token counts."""
-
-    step: int
-    layer: int
-    kind: str
-    r_eff: float
-    computed: int
-    cached: int
-
-
 class CacheContext:
     """Caching state for one generation run; the model calls dispatch per module.
 
     ``plan`` is the run's dispatch_plan, shared read-only by every context of
-    the same (schedule, config, total_steps): every dispatch takes its r_eff
-    and cached-token count from it, and a dispatch for a site outside
-    ``config.sites`` is rejected. The plan is also the run's dispatch log;
-    the context records what it cannot tell, the per-token cache counts and,
-    on request, every dispatch's compute ids (``mask_log``). State is
+    the same (schedule, config, total_steps): each dispatch serves the
+    DispatchEvent one lookup finds there, and a site outside ``config.sites``
+    has none and is rejected. The events are also the run's dispatch log;
+    the context records what they cannot tell, the per-token cache counts
+    and, on request, every dispatch's compute ids (``mask_log``). State is
     single-run: one context per sampling trajectory (or guidance pair). The
     dispatches of a run come from one thread; inside a dispatch of a pair,
     half 1's share may run on the model's worker thread (see _serve).
@@ -489,7 +488,7 @@ class CacheContext:
         module for half h on all tokens, or on the given query rows, and
         returns (output, attention map or None); it normalises only the rows
         the module reads, and a dispatch that caches every token never calls
-        it. Every dispatch caches the plan's n_cache = floor(r_eff * N)
+        it. Every dispatch caches its plan event's floor(r_eff * N)
         lowest-scoring tokens and computes the rest; fresh steps have
         r_eff = 0, and coupled guidance halves share the mask of their summed
         scores. A dispatch that caches nothing keeps the module's output
@@ -508,15 +507,14 @@ class CacheContext:
             raise RuntimeError("begin_step must be called before dispatch")
         if not (len(xs) == len(fns) == self.batch):
             raise ValueError("dispatch inputs do not match the context batch")
-        n = self.config.n_tokens
         key = (layer, kind)
-        if key not in self.plan[self.step]:
+        event = self.plan[self.step].get(key)
+        if event is None:
             raise ValueError(f"dispatch for site {key}, which the model does not have")
-        r_eff, n_cache = self.plan[self.step][key]
-        if n_cache > 0 and any(key not in store.values for store in self.stores):
+        if event.cached and any(key not in store.values for store in self.stores):
             raise RuntimeError(f"dispatch for {key} before any fresh step")
 
-        if 0 < n_cache < n:
+        if event.cached and event.computed:
             scores = [
                 apply_spatial_boost(
                     self._base_scores(layer, kind, h),
@@ -527,14 +525,14 @@ class CacheContext:
                 for h in range(self.batch)
             ]
             if self.schedule.cfg_coupled and self.batch > 1:
-                masks = [select_compute_set(np.sum(scores, axis=0), r_eff)] * self.batch
+                masks = [select_compute_set(np.sum(scores, axis=0), event.r_eff)] * self.batch
             else:
-                masks = [select_compute_set(s, r_eff) for s in scores]
+                masks = [select_compute_set(s, event.r_eff) for s in scores]
         else:
-            masks = [self._compute_all if n_cache == 0 else self._cache_all] * self.batch
+            masks = [self._cache_all if event.cached else self._compute_all] * self.batch
 
         model.each_half(
-            self.config, kind, n - n_cache, self.batch,
+            self.config, kind, event.computed, self.batch,
             lambda h: self._serve(h, layer, kind, xs[h], fns[h], masks[h]),
         )
         if self.mask_log is not None:

@@ -125,12 +125,12 @@ def estimate_run_flops(
 ) -> FlopsReport:
     """Price a full generation run analytically.
 
-    Walks the run's dispatch_plan, the table the cache engine serves: every
-    (step, layer, module) dispatch except the head pays its computed-token
-    fraction of the module cost (the whole cost at fresh steps, where nothing
-    is cached) plus, whenever an actual selection runs (0 < cached < N), the
-    scoring/sort overhead. The baseline prices the same dispatches with
-    nothing cached. Classifier-free guidance doubles everything.
+    Walks the DispatchEvents of the run's dispatch_plan, which the cache
+    engine serves: every dispatch except the head pays its computed fraction
+    (event.computed / N) of the module cost plus, whenever an actual selection
+    runs (event.cached and event.computed both nonzero), the scoring/sort
+    overhead. The baseline prices the same dispatches with nothing cached.
+    Classifier-free guidance doubles everything.
     """
     from .cache import cycle_plan, dispatch_plan
     from .model import KIND_FINAL, ModelConfig
@@ -144,17 +144,18 @@ def estimate_run_flops(
     per_type_baseline: dict[str, float] = {}
     per_type_cached: dict[str, float] = {}
     for row in plan:
-        for (_, kind), (_, n_cached) in row.items():
+        for event in row.values():
+            kind = event.kind
             if kind == KIND_FINAL:
                 continue
-            f = (n_tokens - n_cached) / n_tokens
+            f = event.computed / n_tokens
             full = halves * _partial_module_cost(kind, 1.0, n_tokens, n_text, hidden, heads)
             cost = halves * _partial_module_cost(kind, f, n_tokens, n_text, hidden, heads)
             baseline += full
             cached += cost
             per_type_baseline[kind] = per_type_baseline.get(kind, 0.0) + full
             per_type_cached[kind] = per_type_cached.get(kind, 0.0) + cost
-            if 0 < n_cached < n_tokens:
+            if event.cached and event.computed:
                 overhead += halves * flops_selection_overhead(n_tokens, schedule.grid_size)
 
     total = cached + overhead

@@ -784,7 +784,8 @@ def save_weights(model: Model, path) -> None:
 def load_weights(path) -> Model:
     """Rebuild a model from a weights file written by save_weights.
 
-    Raises ValueError on a malformed file or any non-finite weight.
+    Raises ValueError on a malformed file, a payload size the header's shapes
+    do not call for (checked before allocating) or any non-finite weight.
     """
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii").strip()
@@ -795,18 +796,19 @@ def load_weights(path) -> Model:
         config = ModelConfig(depth, hidden, heads, grid_h, grid_w, text_tokens)
         raw = fh.read()
 
+    # f32 bytes save_weights writes: per group q/k/v/o (twice with text), the MLP; the head
+    d = config.hidden
+    attn = (8 if config.text_tokens > 0 else 4) * d * d
+    expected = 4 * (config.depth * (attn + 2 * d * config.mlp_hidden) + d * d)
+    if len(raw) != expected:
+        short = len(raw) < expected
+        raise ValueError("weights file truncated" if short else "weights file has trailing bytes")
+    values = np.frombuffer(raw, dtype="<f4")
+    if not np.isfinite(values).all():
+        raise ValueError("weights file holds a non-finite value")
     model = init_model(config, seed=0, zero_init=True)
     offset = 0
-    arrays = model.weight_arrays()
-    for arr in arrays:
-        count = arr.size
-        chunk = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
-        if chunk.size != count:
-            raise ValueError("weights file truncated")
-        if not np.isfinite(chunk).all():
-            raise ValueError("weights file holds a non-finite value")
-        arr[...] = chunk.reshape(arr.shape).astype(np.float64)
-        offset += count * 4
-    if offset != len(raw):
-        raise ValueError("weights file has trailing bytes")
+    for arr in model.weight_arrays():
+        arr[...] = values[offset:offset + arr.size].reshape(arr.shape)
+        offset += arr.size
     return model

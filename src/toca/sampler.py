@@ -164,7 +164,8 @@ def run_generation(
     0). A schedule that can never cache (R = 0, or none at all) runs the
     plain uncached forward and logs no dispatch; otherwise every module
     application routes through one CacheContext shared across the whole
-    trajectory, and ``stats.events`` is its dispatch plan in run order. With
+    trajectory, and ``stats.events`` lists the frozen events of its dispatch
+    plan in run order, the objects every run of the config shares. With
     guidance w the model runs a two-stream batch [unconditional, conditional]
     in lockstep and blends the halves.
 
@@ -223,13 +224,8 @@ def run_generation(
 
     stats = RunStats(total_steps=total, fresh_steps=list(range(total)), eps_history=eps_history)
     if ctx is not None:
-        n = cfg.n_tokens
         stats.fresh_steps = list(ctx.fresh_steps)
-        stats.events = [
-            DispatchEvent(step, layer, kind, r_eff, n - n_cache, n_cache)
-            for step, row in enumerate(ctx.plan)
-            for (layer, kind), (r_eff, n_cache) in row.items()
-        ]
+        stats.events = [e for row in ctx.plan for e in row.values()]
         stats.cache_counts = ctx.cache_counts.copy()
         stats.mask_log = ctx.mask_log
     return FeatureMatrix(x, cfg.grid), stats

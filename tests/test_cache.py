@@ -24,6 +24,7 @@ from toca import (
     select_compute_set,
 )
 from toca.cache import (
+    DispatchEvent,
     cache_token_count,
     cache_update,
     cached_layer_apply,
@@ -105,6 +106,21 @@ def test_cycle_plan_covers_run_in_cycles():
         assert plan[0] == 0
         assert all(a < b for a, b in zip(plan, plan[1:]))
         assert all(0 <= t < total for t in plan)
+
+
+@pytest.mark.parametrize("profile", ["toca-dit", "off"])
+@pytest.mark.parametrize(
+    "overrides",
+    [dict(cycle=10**10, center=1e-300), dict(cycle=10**400)],
+    ids=["huge-quotient", "huge-cycle"],
+)
+def test_cycle_plan_ends_at_a_cycle_past_the_run(profile, overrides):
+    # these overflowed: cycle / center was inf, or cycle had no float value
+    sched = dataclasses.replace(PROFILES[profile], cycle_slope=0.0, **overrides)
+    assert cycle_plan(sched, 20) == [0]
+    # a cycle of exactly the run's length ends it as the rounded division did
+    assert cycle_plan(neutral(cycle=20, cycle_slope=0.0), 20) == [0]
+    assert cycle_plan(neutral(cycle=19, cycle_slope=0.0), 20) == [0, 19]
 
 
 # -- ratios -------------------------------------------------------------------
@@ -313,9 +329,9 @@ def test_selection_oracle():
 def test_selection_extremes():
     s = np.array([3.0, 1.0, 2.0])
     all_compute = select_compute_set(s, 0.0)
-    assert all_compute.n_cached == 0 and all_compute.n_computed == 3
+    assert len(all_compute.cache_idx) == 0 and all_compute.n_computed == 3
     all_cache = select_compute_set(s, 1.0)
-    assert all_cache.n_cached == 3 and all_cache.n_computed == 0
+    assert len(all_cache.cache_idx) == 3 and all_cache.n_computed == 0
 
 
 def test_selection_ties_cache_lowest_index():
@@ -376,7 +392,7 @@ def test_selection_matches_sort_oracle(n, seed, r_eff, coarse):
     mask = select_compute_set(scores, r_eff)
     assert set(mask.cache_idx) == _sort_oracle(scores.tolist(), r_eff)
     assert set(mask.cache_idx) | set(mask.compute_idx) == set(range(n))
-    assert mask.n_cached == int(math.floor(r_eff * n + 1e-9))
+    assert len(mask.cache_idx) == int(math.floor(r_eff * n + 1e-9))
 
 
 # -- slots and updates --------------------------------------------------------
@@ -392,27 +408,33 @@ def _fake_rows_fn(full_out):
 def test_cached_layer_apply_all_compute():
     full = np.arange(12.0).reshape(4, 3)
     mask = select_compute_set(np.ones(4), 0.0)
-    out, fresh = cached_layer_apply(_fake_rows_fn(full), None, mask, np.zeros((4, 3)))
-    assert np.array_equal(out, full)
-    assert np.array_equal(fresh, full)
+    slot = np.zeros((4, 3))
+    assert cached_layer_apply(_fake_rows_fn(full), None, mask, slot) is None
+    assert len(mask.cache_idx) == 0
+    assert np.array_equal(slot, full)
 
 
 def test_cached_layer_apply_all_cache():
     slot = np.full((4, 3), 7.0)
+
+    def never_called(x, rows):
+        raise AssertionError("a mask that computes nothing must not call the module")
+
     mask = select_compute_set(np.ones(4), 1.0)
-    out, fresh = cached_layer_apply(_fake_rows_fn(np.zeros((4, 3))), None, mask, slot)
-    assert np.array_equal(out, slot)
-    assert fresh is None
+    cached_layer_apply(never_called, None, mask, slot)
+    assert len(mask.cache_idx) == 4
+    assert np.all(slot == 7.0)
 
 
 def test_cached_layer_apply_splice():
     full = np.arange(12.0).reshape(4, 3)
     slot = np.full((4, 3), -1.0)
     mask = select_compute_set(np.array([5.0, 1.0, 6.0, 2.0]), 0.5)  # cache {1,3}
-    out, fresh = cached_layer_apply(_fake_rows_fn(full), None, mask, slot)
-    assert np.array_equal(out[[0, 2]], full[[0, 2]])
-    assert np.all(out[[1, 3]] == -1.0)
-    assert out is slot  # the slot is the output: fresh rows land in it, nothing is copied
+    cached_layer_apply(_fake_rows_fn(full), None, mask, slot)
+    assert mask.cache_idx.tolist() == [1, 3]
+    # the slot is the output: fresh rows land in it in place, cached rows stay
+    assert np.array_equal(slot[[0, 2]], full[[0, 2]])
+    assert np.all(slot[[1, 3]] == -1.0)
 
 
 def test_cached_layer_apply_requires_initialized_slot():
@@ -519,7 +541,9 @@ def test_dispatch_caching_nothing_at_a_non_fresh_step_refreshes_everything():
     assert np.array_equal(store.values[key], last["out"])
     assert store.counters[key].tolist() == [0, 0, 0, 0]
     assert np.array_equal(store.attn_influence[0], last["attn"].sum(axis=0))
-    assert ctx.plan[1][key] == (pytest.approx(0.2), 0)
+    planned = ctx.plan[1][key]
+    assert planned == DispatchEvent(1, 0, "self_attn", planned.r_eff, 4, 0)
+    assert planned.r_eff == pytest.approx(0.2)
     assert ctx.mask_log[-1][:3] == (1, 0, "self_attn")
     assert ctx.mask_log[-1][3][0].tolist() == [0, 1, 2, 3]
     with pytest.raises(ValueError):  # shared by every such dispatch, so read-only
@@ -667,15 +691,18 @@ def test_run_dispatches_follow_the_plan(profile, guided, text_tokens):
     assert len(plan) == total and all(tuple(row) == c.sites for row in plan)
     got = [(step, layer, kind, [len(i) for i in idx]) for step, layer, kind, idx in ctx.mask_log]
     want = [
-        (step, layer, kind, [c.n_tokens - n_cache] * len(conds))
-        for step, row in enumerate(plan)
-        for (layer, kind), (_, n_cache) in row.items()
+        (e.step, e.layer, e.kind, [e.computed] * len(conds)) for row in plan for e in row.values()
     ]
     assert got == want
-    planned_cached = sum(n_cache for row in plan for _, n_cache in row.values())
+    assert all(
+        (e.step, e.layer, e.kind) == (step, *site) and e.computed + e.cached == c.n_tokens
+        for step, row in enumerate(plan)
+        for site, e in row.items()
+    )
+    planned_cached = sum(e.cached for row in plan for e in row.values())
     assert ctx.cache_counts.sum(axis=1).tolist() == [planned_cached] * len(conds)
     for step in cycle_plan(sched, total):
-        assert all(planned == (0.0, 0) for planned in plan[step].values())
+        assert all((e.r_eff, e.cached) == (0.0, 0) for e in plan[step].values())
 
 
 def test_equal_configs_share_one_read_only_plan():
@@ -691,7 +718,7 @@ def test_equal_configs_share_one_read_only_plan():
     assert a.plan is b.plan is dispatch_plan(sched, config, 10)
     assert CacheContext(sched, config, 11).plan is not a.plan
     with pytest.raises(TypeError):
-        a.plan[1][(0, "mlp")] = (0.0, 0)
+        a.plan[1][(0, "mlp")] = DispatchEvent(1, 0, "mlp", 0.0, 16, 0)
     with pytest.raises(TypeError):
         a.plan[1] = {}
 
@@ -750,21 +777,18 @@ def test_cached_forward_normalises_only_the_rows_it_computes(monkeypatch, sched,
                 assert np.array_equal(seen[k][h], stream)
                 stream = stream + outs[k][h]
 
-    def planned_rows(kind, n_cache):
-        if kind == KIND_FINAL or n_cache == n:
+    def planned_rows(e):
+        if e.kind == KIND_FINAL or e.computed == 0:
             return 0
-        return n if kind == KIND_SELF else n - n_cache
+        return n if e.kind == KIND_SELF else e.computed
 
     plan = dispatch_plan(sched, c, total)
     assert sum(normed_rows) == len(conds) * sum(
-        planned_rows(kind, n_cache)
-        for row in plan
-        for (_, kind), (_, n_cache) in row.items()
+        planned_rows(e) for row in plan for e in row.values()
     )
     # every case skips work; the uniform one also has partial self-attention
     assert sum(normed_rows) < len(conds) * total * c.depth * len(c.group_kinds) * n
     partial_self = [
-        0 < n_cache < n for row in plan for (_, kind), (_, n_cache) in row.items()
-        if kind == KIND_SELF
+        0 < e.cached < n for row in plan for e in row.values() if e.kind == KIND_SELF
     ]
     assert any(partial_self) == (sched.type_mode == "uniform")

@@ -319,6 +319,31 @@ def test_non_finite_weights_exit_two(tmp_path, capsys, command, bad):
     assert not out.exists()
 
 
+def test_weights_payload_too_small_exits_two(tmp_path, capsys):
+    # the header's 2 x 512 model used to be allocated before the 4-byte
+    # payload was found short
+    weights = tmp_path / "w.bin"
+    weights.write_bytes(b"TOCA-W1 2 512 1 1 1 0\n" + b"\x00" * 4)
+    body = SMALL.replace("grid_w = 4\n", f"grid_w = 4\nweights = {weights}\n")
+    out = tmp_path / "out"
+    assert cli.main(["sample", "-c", _write_cfg(tmp_path, body), "--out", out.as_posix()]) == 2
+    assert "weights file truncated" in capsys.readouterr().err
+    assert not (out / "x0.bin").exists()
+
+
+@pytest.mark.parametrize("command", [["sample"], ["bench", "flops"]], ids=["sample", "flops"])
+@pytest.mark.parametrize("profile", ["toca-dit", "off"])
+@pytest.mark.parametrize(
+    "cycle", ["cycle = 10000000000\ncenter = 1e-300\n", f"cycle = {10**400}\n"],
+    ids=["huge-quotient", "huge-cycle"],
+)
+def test_cycle_past_the_run_runs(tmp_path, command, profile, cycle):
+    # these exited 1 with an OverflowError from cycle_plan
+    body = SMALL + f"\n[cache]\nprofile = {profile}\ncycle_slope = 0\n{cycle}"
+    out = tmp_path / "out"
+    assert cli.main([*command, "-c", _write_cfg(tmp_path, body), "--out", out.as_posix()]) == 0
+
+
 def test_write_json_rejects_non_finite_values(tmp_path):
     from toca.artifacts import write_json
 

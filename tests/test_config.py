@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toca import cli
@@ -24,6 +24,7 @@ from toca.config import (
     parse_config_string,
     run_config_hash,
 )
+from toca.flops import estimate_run_flops
 from toca.sampler import NoiseSchedule, run_generation
 
 
@@ -357,12 +358,14 @@ _FUZZ_CHOICES = {
     ("analyze", "normalize"): ["true", "false"],
     ("sampler", "guidance"): ["none", "0", "1.5", "-2", "1e6", "-1e6"],
     ("output", "dir"): ["out"],
+    ("cache", "cycle"): ["1", "2", "3", "10000000000"],  # and one far past the run's end
 }
 _FUZZ_BY_TYPE = {  # keyed by the type of the key's default
     int: ["0", "1", "2", "3"],
     float: ["0", "0.25", "0.5", "0.93", "1", "2.5", "1e6", "-1e6"],
     type(None): ["none", "0", "1", "2", "3"],  # the fixed cycle window
 }
+_FUZZ_CHOICES[("cache", "center")] = _FUZZ_BY_TYPE[float] + ["1e-300"]
 _FUZZ_JUNK = [
     "-1", "0.0001", "0.9999", "1000000.0000000001", "1e300", "nan", "inf", "-inf", "", "x",
 ]
@@ -408,11 +411,21 @@ def _fuzz_config(draw) -> str:
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(_fuzz_config(), _fuzz_config(), _fuzz_config(), st.text(max_size=60)))
+# a cycle past the run's end: cycle / center overflowed, in sampling and pricing alike
+@example("[cache]\nprofile = toca-dit\ncycle_slope = 0\ncenter = 1e-300\ncycle = 10000000000\n")
+@example("[cache]\nprofile = off\ncenter = 1e-300\ncycle = 10000000000\n")
 def test_fuzz_config_loads_or_runs_finite(text):
     try:
         rc = parse_config_string(text)
     except ConfigError:
         return
+    # the bench flops command's path
+    m = rc.model
+    report = estimate_run_flops(
+        m.depth, m.hidden, m.heads, m.n_tokens, m.text_tokens, rc.steps,
+        rc.guidance is not None, rc.cache,
+    )
+    assert math.isfinite(report.cached_flops) and report.speedup > 0
     # the sample command's path
     model, cond = cli._build_model(rc), cli._conditioning(rc)
     ns = NoiseSchedule.linear(rc.steps, rc.beta_start, rc.beta_end)

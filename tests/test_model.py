@@ -449,6 +449,30 @@ def test_weights_rejects_garbage(tmp_path):
         load_weights(path)
 
 
+def test_weights_payload_size_checked_before_allocation(tmp_path):
+    import tracemalloc
+
+    path = tmp_path / "w.bin"
+    # a 2 x 512 model needs 52 MB of float64 weights; the payload is 4 bytes
+    path.write_bytes(b"TOCA-W1 2 512 1 1 1 0\n" + b"\x00" * 4)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="weights file truncated"):
+            load_weights(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    good = tmp_path / "good.bin"
+    save_weights(init_model(cfg(), seed=2), good)
+    path.write_bytes(good.read_bytes() + b"\x00" * 4)
+    with pytest.raises(ValueError, match="trailing bytes"):
+        load_weights(path)
+    path.write_bytes(good.read_bytes()[:-1])
+    with pytest.raises(ValueError, match="truncated"):
+        load_weights(path)
+
+
 def test_forward_batch_lockstep_matches_separate():
     c = cfg()
     model = init_model(c, seed=5)

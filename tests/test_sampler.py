@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -258,3 +260,15 @@ def test_read_only_site_hook_changes_no_output_bit():
     for ea, eb in zip(a.mask_log, b.mask_log):
         assert ea[:3] == eb[:3]
         assert all(np.array_equal(p, q) for p, q in zip(ea[3], eb[3]))
+
+
+def test_runs_of_one_config_share_the_plans_frozen_events():
+    c, model, cond = toy()
+    ns = NoiseSchedule.linear(6)
+    (_, a), (_, b) = (
+        run_generation(model, cond, ns, PROFILES["toca-dit"], seed=seed) for seed in (1, 2)
+    )
+    assert len(a.events) == 6 * len(c.sites)
+    assert all(ea is eb for ea, eb in zip(a.events, b.events))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.events[0].cached = 0
