@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -130,9 +131,15 @@ def cycle_plan(schedule: CacheSchedule, total_steps: int) -> list[int]:
             n = schedule.fixed_cycle_len
         else:
             denom = schedule.center + schedule.cycle_slope * (t / total_steps - 0.5)
-            if schedule.cycle >= denom * total_steps:  # int vs float compares exactly, never raises
+            # N_t >= total_steps decided in integers: denom * total_steps may
+            # overflow, cycle may lie beyond every float, and inf is 1/0
+            num, den = denom.as_integer_ratio() if denom < math.inf else (1, 0)
+            if schedule.cycle * den >= num * total_steps:
                 break
-            n = math.floor(schedule.cycle / denom + 0.5)
+            if schedule.cycle <= sys.float_info.max:
+                n = math.floor(schedule.cycle / denom + 0.5)
+            else:  # rounded half-up exactly
+                n = (2 * schedule.cycle * den + num) // (2 * num)
         t += max(1, n)
     return fresh
 
@@ -356,10 +363,6 @@ class ComputeMask:
     compute_idx: np.ndarray
     cache_idx: np.ndarray
 
-    @property
-    def n_computed(self) -> int:
-        return self.compute_idx.shape[0]
-
 
 def select_compute_set(scores, r_eff: float) -> ComputeMask:
     """Cache the floor(r_eff * N) lowest-scoring tokens, compute the rest.
@@ -388,7 +391,7 @@ def cached_layer_apply(fn, x: np.ndarray, mask: ComputeMask, slot_values: np.nda
     """
     if slot_values is None:
         raise RuntimeError("cache slot is empty; a fresh step must run first")
-    if mask.n_computed > 0:
+    if mask.compute_idx.size:
         slot_values[mask.compute_idx] = fn(x, mask.compute_idx)[0]
 
 

@@ -37,7 +37,9 @@ PROFILE_NAMES = (*PROFILES, "custom")
 
 # Largest |time_scale| and |guidance| accepted. x0 grows linearly in both: at
 # 1e6 a 1000-step run of the default betas stays below 1e13 in magnitude,
-# far inside float32 (x0.bin) and the layer norm's float64 squares.
+# far inside float32 (x0.bin) and the layer norm's float64 squares. It also
+# bounds [analyze] sigma: at 1e160 the perturbed row's squares overflow
+# float64, and the propagation errors read nan.
 SCALE_LIMIT = 1e6
 
 # Longest run and smallest alpha_bar(T) accepted. x0 grows as a power of
@@ -228,7 +230,9 @@ _SETTINGS: dict[tuple[str, str], _Setting] = {
     ("analyze", "layer"): _Setting("analyze_layer", int, "an integer"),
     ("analyze", "kind"): _Setting("analyze_kind", *_choice(KINDS)),
     ("analyze", "token"): _Setting("analyze_token", int, "an integer"),
-    ("analyze", "sigma"): _Setting("analyze_sigma", _non_negative(float), "a non-negative number"),
+    ("analyze", "sigma"): _Setting(
+        "analyze_sigma", _non_negative(_within(SCALE_LIMIT)), f"a number in [0, {SCALE_LIMIT:g}]"
+    ),
     ("analyze", "mode"): _Setting("analyze_mode", *_choice(("absolute", "relative"))),
     ("analyze", "normalize"): _Setting("analyze_normalize", _to_bool, "a boolean"),
     # where files land does not change what they hold

@@ -28,10 +28,10 @@ ACTIVATION_FLOPS_PER_ELEMENT = 6
 def flops_self_attention(n_tokens: int, hidden: int, heads: int) -> int:
     """Q/K/V/output projections plus per-head map build, softmax and apply.
 
-    8*N*D^2 + 4*N^2*D + 5*N^2*H
+    Attention of the N tokens against themselves, priced by the general form
+    flops_cross_attention(N, N, D, H) = 8*N*D^2 + 4*N^2*D + 5*N^2*H.
     """
-    n, d, h = n_tokens, hidden, heads
-    return 8 * n * d * d + 4 * n * n * d + 5 * n * n * h
+    return flops_cross_attention(n_tokens, n_tokens, hidden, heads)
 
 
 def flops_cross_attention(n_img: int, n_text: int, hidden: int, heads: int) -> int:

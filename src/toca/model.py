@@ -400,24 +400,15 @@ def layer_norm_rows(x: np.ndarray, eps: float = 1e-6, out=None, ws=None) -> np.n
     return np.divide(centred, denom, out=out)
 
 
-def _take_rows(x: np.ndarray, rows, ws: Workspace | None, out=None) -> np.ndarray:
-    """x[rows], gathered into the first rows of ``out`` when given."""
-    if rows is None:
-        return x
+def _take_rows(x: np.ndarray, rows, out: np.ndarray) -> np.ndarray:
+    """x[rows], gathered into the first rows of ``out``; an id outside [0, N) raises."""
     idx = np.asarray(rows, dtype=np.intp)
-    n = x.shape[0]
     # viewed as unsigned, a negative id exceeds any n: one max checks both ends
-    if idx.size and idx.view(np.uintp).max() >= n:
-        raise IndexError(f"row ids must lie in [0, {n})")
-    if out is not None:
-        out = out[: idx.shape[0]]
-    elif ws is None:
-        return x[idx]
-    else:
-        out = ws.take("rows", idx.shape[0], x.shape[1])
+    if idx.size and idx.view(np.uintp).max() >= x.shape[0]:
+        raise IndexError(f"row ids must lie in [0, {x.shape[0]})")
     # the ids are in range, so "clip" clips nothing; mode="raise" would stage
     # the rows through a temporary
-    return np.take(x, idx, axis=0, out=out, mode="clip")
+    return np.take(x, idx, axis=0, out=out[: idx.shape[0]], mode="clip")
 
 
 def _attend(
@@ -502,15 +493,16 @@ def self_attention_forward(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Multi-head self-attention over the token stream.
 
-    ``rows`` restricts the query side to a subset of tokens (keys and values
-    always come from the full stream), which is how partially cached dispatch
-    evaluates only the tokens it needs. Returns the module output together
-    with the head-averaged attention map (rows = queries, columns = tokens).
-    The output goes to ``out`` when given; intermediates, and the output
-    otherwise, go to ``ws`` when given.
+    ``rows`` restricts the query side to those tokens while keys and values
+    come from the whole stream: the one kernel whose keys span more rows
+    than its queries, so the only one that takes row ids. Returns the module
+    output together with the head-averaged attention map (rows = queries,
+    columns = tokens). The output goes to ``out`` when given; intermediates,
+    and the output otherwise, go to ``ws`` when given.
     """
     x = linalg.as_matrix(x)
-    return _attend(_take_rows(x, rows, ws), x, weights, heads, counter, out, ws)
+    xq = x if rows is None else _take_rows(x, rows, _buffer(ws, "rows", len(rows), x.shape[1]))
+    return _attend(xq, x, weights, heads, counter, out, ws)
 
 
 def cross_attention_forward(
@@ -518,12 +510,11 @@ def cross_attention_forward(
     text,
     weights: AttnWeights,
     heads: int,
-    rows=None,
     counter: FlopCounter | None = None,
     out=None,
     ws: Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Attention with image-token queries against text-token keys/values."""
+    """Attention of every row of x (a partial call's rows only) against text keys/values."""
     x = linalg.as_matrix(x)
     if text is None:
         raise ValueError("cross-attention needs text tokens")
@@ -532,24 +523,22 @@ def cross_attention_forward(
         raise ValueError("cross-attention needs at least one text token")
     if text.shape[1] != x.shape[1]:
         raise ValueError(f"text hidden size {text.shape[1]} != {x.shape[1]}")
-    return _attend(_take_rows(x, rows, ws), text, weights, heads, counter, out, ws)
+    return _attend(x, text, weights, heads, counter, out, ws)
 
 
 def mlp_forward(
     x,
     weights: MlpWeights,
-    rows=None,
     counter: FlopCounter | None = None,
     out=None,
     ws: Workspace | None = None,
 ) -> np.ndarray:
-    """Token-wise two-layer MLP with a ReLU between the projections."""
+    """Token-wise two-layer MLP with a ReLU between the projections, on every row of x."""
     x = linalg.as_matrix(x)
-    xr = _take_rows(x, rows, ws)
-    m, d = xr.shape
+    m, d = x.shape
     d2 = weights.w1.shape[1]
     # the hidden layer shares its workspace memory with the attention logits
-    h = np.matmul(xr, weights.w1, out=_buffer(ws, "logits", m, d2))
+    h = np.matmul(x, weights.w1, out=_buffer(ws, "logits", m, d2))
     np.maximum(h, 0.0, out=h)
     out = np.matmul(h, weights.w2, out=_buffer(ws, "out", m, d, out))
     if counter is not None:
@@ -595,23 +584,24 @@ class Model:
     def _apply(self, layer: int, kind: str, cond: Conditioning, h, rows=None, out=None, ws=None):
         """One module on the (normed) stream h: (output, attention map or None).
 
-        ``rows`` computes only those query rows against the full stream; the
-        cache engine passes them at partial dispatches. The output goes to
-        ``out`` when given; intermediates, and the output otherwise, go to the
-        workspace ``ws`` when given.
+        Only self-attention takes ``rows``, the query rows it computes against
+        the full stream; any other kind computes every row of h and raises
+        ValueError on row ids. The output goes to ``out`` when given;
+        intermediates, and the output otherwise, go to the workspace ``ws``.
         """
         heads = self.config.heads
         if kind == KIND_SELF:
             w = self.groups[layer].self_attn
-            return self_attention_forward(h, w, heads, rows=rows, out=out, ws=ws)
+            return self_attention_forward(h, w, heads, rows, out=out, ws=ws)
+        if rows is not None:
+            raise ValueError(f"only self-attention takes row ids, not {kind!r}")
         if kind == KIND_CROSS:
             w = self.groups[layer].cross_attn
-            return cross_attention_forward(h, cond.text, w, heads, rows=rows, out=out, ws=ws)
+            return cross_attention_forward(h, cond.text, w, heads, out=out, ws=ws)
         if kind == KIND_MLP:
-            return mlp_forward(h, self.groups[layer].mlp, rows=rows, out=out, ws=ws), None
+            return mlp_forward(h, self.groups[layer].mlp, out=out, ws=ws), None
         if kind == KIND_FINAL:
-            hr = _take_rows(h, rows, ws)
-            return np.matmul(hr, self.out_proj, out=_buffer(ws, "out", *hr.shape, out)), None
+            return np.matmul(h, self.out_proj, out=_buffer(ws, "out", *h.shape, out)), None
         raise ValueError(f"unknown module kind {kind!r}")
 
     def forward(
@@ -659,10 +649,12 @@ class Model:
         module callables normalise only the rows the module reads: all N for
         self-attention, whose keys and values span the stream, the computed
         rows for cross-attention and the MLP, none for the head, and none at
-        all when the dispatch reuses every token. A layer norm of a row
-        subset is bitwise those rows of the full layer norm, so outputs do
-        not depend on it. Without a context every module but the head reads
-        the fully normalised stream.
+        all when the dispatch reuses every token. Only self-attention gets
+        row ids; any other kind runs on the computed rows, gathered into the
+        stream's normed buffer. Row subsets of a layer norm, and of a module
+        call on two or more rows, are bitwise those rows of the full call; a
+        one-row call may differ in the last bit (NumPy's matrix-vector path).
+        Without a context every module but the head reads the normed stream.
 
         ``site_hook``, when given, is called as
         ``site_hook(layer, kind, streams)`` right before every module of
@@ -701,9 +693,9 @@ class Model:
                 scratch = scratch_for(ws)
                 out = full if rows is None else None
                 if rows is not None and kind != KIND_SELF:
-                    # the rows the module reads go straight to this stream's
-                    # normed rows, and are normalised there
-                    x, rows = _take_rows(x, rows, None, out=normed[h]), None
+                    # the computed rows go straight to this stream's normed
+                    # rows, are normalised there, and are all the module sees
+                    x, rows = _take_rows(x, rows, normed[h]), None
                     if kind != KIND_FINAL:
                         x = layer_norm_rows(x, out=x, ws=scratch)
                 elif kind != KIND_FINAL:

@@ -111,16 +111,27 @@ def test_cycle_plan_covers_run_in_cycles():
 @pytest.mark.parametrize("profile", ["toca-dit", "off"])
 @pytest.mark.parametrize(
     "overrides",
-    [dict(cycle=10**10, center=1e-300), dict(cycle=10**400)],
-    ids=["huge-quotient", "huge-cycle"],
+    [dict(cycle=10**10, center=1e-300), dict(cycle=10**400), dict(cycle=10**400, center=1e308)],
+    ids=["huge-quotient", "huge-cycle", "huge-product"],
 )
 def test_cycle_plan_ends_at_a_cycle_past_the_run(profile, overrides):
-    # these overflowed: cycle / center was inf, or cycle had no float value
+    # these overflowed: cycle / center was inf, cycle had no float value, or
+    # center * steps was inf too
     sched = dataclasses.replace(PROFILES[profile], cycle_slope=0.0, **overrides)
     assert cycle_plan(sched, 20) == [0]
     # a cycle of exactly the run's length ends it as the rounded division did
     assert cycle_plan(neutral(cycle=20, cycle_slope=0.0), 20) == [0]
     assert cycle_plan(neutral(cycle=19, cycle_slope=0.0), 20) == [0, 19]
+
+
+def test_cycle_plan_is_exact_near_the_float_maximum():
+    # a cycle beyond every float that ends inside the run: 2e308 / 1e308 = 2
+    assert cycle_plan(neutral(cycle=2 * 10**308, center=1e308, cycle_slope=0.0), 3) == [0, 2]
+    # the denominator itself overflows to inf at t = 5 (N_t = 0, clamped to 1)
+    window = dict(fixed_cycle_start=0, fixed_cycle_end=5, fixed_cycle_len=1)
+    for cycle in (1, 10**400):
+        sched = neutral(cycle=cycle, center=1.7e308, cycle_slope=1.7e308, **window)
+        assert cycle_plan(sched, 7) == list(range(7))
 
 
 # -- ratios -------------------------------------------------------------------
@@ -329,9 +340,9 @@ def test_selection_oracle():
 def test_selection_extremes():
     s = np.array([3.0, 1.0, 2.0])
     all_compute = select_compute_set(s, 0.0)
-    assert len(all_compute.cache_idx) == 0 and all_compute.n_computed == 3
+    assert len(all_compute.cache_idx) == 0 and len(all_compute.compute_idx) == 3
     all_cache = select_compute_set(s, 1.0)
-    assert len(all_cache.cache_idx) == 3 and all_cache.n_computed == 0
+    assert len(all_cache.cache_idx) == 3 and len(all_cache.compute_idx) == 0
 
 
 def test_selection_ties_cache_lowest_index():

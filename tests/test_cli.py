@@ -137,6 +137,25 @@ def test_propagation_zero_sigma_is_silent(tmp_path):
     assert all(float(r.split(",")[1]) == 0.0 for r in rows)
 
 
+def test_propagation_sigma_beyond_bound_exits_two(tmp_path, capsys):
+    # this ran to the end and then failed the JSON write on nan errors (exit 1)
+    cfg = _write_cfg(tmp_path, SMALL + "\n[analyze]\nsigma = 1e160\n")
+    out = tmp_path / "out"
+    assert cli.main(["analyze", "propagation", "-c", cfg, "--out", out.as_posix()]) == 2
+    assert "sigma: expected a number in [0, 1e+06]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["absolute", "relative"])
+def test_propagation_at_sigma_bound_is_finite(tmp_path, mode):
+    body = SMALL.replace("grid_w = 4\n", "grid_w = 4\ntime_scale = 1e6\n")
+    cfg = _write_cfg(tmp_path, body + f"\n[analyze]\nsigma = 1e6\nmode = {mode}\n")
+    out = tmp_path / "out"
+    assert cli.main(["analyze", "propagation", "-c", cfg, "--out", out.as_posix()]) == 0
+    payload = json.loads((out / "propagation.json").read_text())
+    assert all(math.isfinite(q) for q in payload["error_quantiles"].values())
+
+
 def test_bench_flops(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, SMALL + "\n[cache]\nprofile = toca-dit\n")
     out = tmp_path / "out"
@@ -332,13 +351,19 @@ def test_weights_payload_too_small_exits_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", [["sample"], ["bench", "flops"]], ids=["sample", "flops"])
-@pytest.mark.parametrize("profile", ["toca-dit", "off"])
+@pytest.mark.parametrize("profile", ["toca-dit", "off", "naive-full"])
 @pytest.mark.parametrize(
-    "cycle", ["cycle = 10000000000\ncenter = 1e-300\n", f"cycle = {10**400}\n"],
-    ids=["huge-quotient", "huge-cycle"],
+    "cycle",
+    [
+        "cycle = 10000000000\ncenter = 1e-300\n",
+        f"cycle = {10**400}\n",
+        f"cycle = {10**400}\ncenter = 1e308\n",
+    ],
+    ids=["huge-quotient", "huge-cycle", "huge-product"],
 )
 def test_cycle_past_the_run_runs(tmp_path, command, profile, cycle):
-    # these exited 1 with an OverflowError from cycle_plan
+    # these exited 1 with an OverflowError from cycle_plan; in the last,
+    # center * steps overflowed too
     body = SMALL + f"\n[cache]\nprofile = {profile}\ncycle_slope = 0\n{cycle}"
     out = tmp_path / "out"
     assert cli.main([*command, "-c", _write_cfg(tmp_path, body), "--out", out.as_posix()]) == 0

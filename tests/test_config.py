@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toca import cli
+from toca import cli, linalg
 from toca.config import (
     _SETTINGS,
     ALPHA_BAR_FLOOR,
@@ -24,7 +24,9 @@ from toca.config import (
     parse_config_string,
     run_config_hash,
 )
+from toca.analysis import measure_error_propagation
 from toca.flops import estimate_run_flops
+from toca.model import FeatureMatrix
 from toca.sampler import NoiseSchedule, run_generation
 
 
@@ -102,6 +104,14 @@ def test_scale_bound_inside_and_outside(section, key):
     for outside in (math.nextafter(limit, 2 * limit) for limit in (SCALE_LIMIT, -SCALE_LIMIT)):
         with pytest.raises(ConfigError, match=f"{key}: expected a number in"):
             parse_config_string(f"[{section}]\n{key} = {outside!r}\n")
+
+
+def test_sigma_bound_inside_and_outside():
+    for inside in (SCALE_LIMIT, 0.0):
+        assert parse_config_string(f"[analyze]\nsigma = {inside!r}\n").analyze_sigma == inside
+    for outside in (math.nextafter(SCALE_LIMIT, math.inf), 1e160, -1.0):
+        with pytest.raises(ConfigError, match="sigma: expected a number in \\[0, 1e\\+06\\]"):
+            parse_config_string(f"[analyze]\nsigma = {outside!r}\n")
 
 
 def _flat_beta(steps, alpha_bar_T):
@@ -365,7 +375,8 @@ _FUZZ_BY_TYPE = {  # keyed by the type of the key's default
     float: ["0", "0.25", "0.5", "0.93", "1", "2.5", "1e6", "-1e6"],
     type(None): ["none", "0", "1", "2", "3"],  # the fixed cycle window
 }
-_FUZZ_CHOICES[("cache", "center")] = _FUZZ_BY_TYPE[float] + ["1e-300"]
+_FUZZ_CHOICES[("cache", "center")] = _FUZZ_BY_TYPE[float] + ["1e-300", "1e308"]
+_FUZZ_CHOICES[("analyze", "sigma")] = _FUZZ_BY_TYPE[float] + ["1e300"]
 _FUZZ_JUNK = [
     "-1", "0.0001", "0.9999", "1000000.0000000001", "1e300", "nan", "inf", "-inf", "", "x",
 ]
@@ -409,11 +420,18 @@ def _fuzz_config(draw) -> str:
     return "".join(f"[{s}]\n" + "\n".join(body) + "\n" for s, body in sections.items())
 
 
+_SMALL_RUN = "[model]\ndepth = 2\nhidden = 8\nheads = 2\n[sampler]\nsteps = 3\n"
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(_fuzz_config(), _fuzz_config(), _fuzz_config(), st.text(max_size=60)))
 # a cycle past the run's end: cycle / center overflowed, in sampling and pricing alike
 @example("[cache]\nprofile = toca-dit\ncycle_slope = 0\ncenter = 1e-300\ncycle = 10000000000\n")
 @example("[cache]\nprofile = off\ncenter = 1e-300\ncycle = 10000000000\n")
+# center * steps overflowed, and the cycle has no float value
+@example(_SMALL_RUN + f"[cache]\nprofile = naive-full\ncenter = 1e308\ncycle = {10**400}\n")
+# the perturbed row's squares overflowed, and the errors read nan
+@example(_SMALL_RUN + "[analyze]\nsigma = 1e160\n")
 def test_fuzz_config_loads_or_runs_finite(text):
     try:
         rc = parse_config_string(text)
@@ -434,3 +452,11 @@ def test_fuzz_config_loads_or_runs_finite(text):
         sampler=rc.sampler, guidance=rc.guidance,
     )
     assert np.all(np.isfinite(x0.values.astype(np.float32)))  # storable in x0.bin
+    # the analyze propagation command's path
+    x = linalg.gaussian((m.n_tokens, m.hidden), 1.0, np.random.SeedSequence((rc.seed, 0)))
+    profile = measure_error_propagation(
+        model, FeatureMatrix(x, m.grid), float(rc.steps), cond,
+        rc.analyze_layer, rc.analyze_kind, rc.analyze_token, rc.analyze_sigma,
+        seed=rc.seed, relative=(rc.analyze_mode == "relative"), normalize=rc.analyze_normalize,
+    )
+    assert math.isfinite(profile.sigma) and np.all(np.isfinite(profile.errors))

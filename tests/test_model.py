@@ -123,8 +123,8 @@ def test_mlp_rows_subset_matches_full():
     w = MlpWeights(w1=rng.normal(size=(4, 16)), w2=rng.normal(size=(16, 4)))
     x = rng.normal(size=(6, 4))
     full = mlp_forward(x, w)
-    part = mlp_forward(x, w, rows=np.array([1, 4]))
-    assert np.array_equal(part, full[[1, 4]])
+    rows = np.array([1, 4])
+    assert np.array_equal(mlp_forward(x[rows], w), full[rows])
 
 
 def test_self_attention_map_is_row_stochastic():
@@ -196,7 +196,7 @@ def test_attention_matches_reference_loop(kind, rows):
     else:
         w = AttnWeights(*(rng.normal(size=(d, d)) for _ in range(4)))
         kv = rng.normal(size=(5, d))
-        out, attn = cross_attention_forward(x, kv, w, heads, rows=rows)
+        out, attn = cross_attention_forward(x if rows is None else x[rows], kv, w, heads)
     ref_out, ref_attn = _attention_ref(x, kv, w, heads, None if rows is None else np.array(rows))
     assert np.array_equal(out, ref_out)
     assert np.array_equal(attn, ref_attn)
@@ -224,7 +224,8 @@ def test_attention_groups_match_reference_loop(monkeypatch, group, kind, rows):
     if kind == "self":
         out, attn = self_attention_forward(x, w, heads, rows=rows, counter=counter, ws=ws)
     else:
-        out, attn = cross_attention_forward(x, kv, w, heads, rows=rows, counter=counter, ws=ws)
+        xq = x if rows is None else x[rows]
+        out, attn = cross_attention_forward(xq, kv, w, heads, counter=counter, ws=ws)
     ref_out, ref_attn = _attention_ref(x, kv, w, heads, None if rows is None else np.array(rows))
     assert np.array_equal(out, ref_out)
     assert np.array_equal(attn, ref_attn)
@@ -329,7 +330,7 @@ def test_forward_record_layout():
 
 @pytest.mark.parametrize("kind", ["self_attn", "cross_attn", "mlp", "final"])
 def test_apply_rows_match_full_rows(kind):
-    """One module callable serves both the full and the partial dispatch."""
+    """Self-attention takes query ids; every other kind runs on the gathered rows."""
     c = cfg(text_tokens=3, grid_h=3, grid_w=3)
     model = init_model(c, seed=5)
     cond = Conditioning.random_text(c, 2)
@@ -337,25 +338,41 @@ def test_apply_rows_match_full_rows(kind):
     layer = c.depth if kind == KIND_FINAL else 1
     idx = np.array([0, 4, 5, 8])
     full, _ = model._apply(layer, kind, cond, h)
-    part, _ = model._apply(layer, kind, cond, h, rows=idx)
+    if kind == KIND_SELF:
+        part, _ = model._apply(layer, kind, cond, h, rows=idx)
+    else:
+        part, _ = model._apply(layer, kind, cond, h[idx])
+        with pytest.raises(ValueError, match="only self-attention takes row ids"):
+            model._apply(layer, kind, cond, h, rows=idx)
     assert np.array_equal(part, full[idx])
 
 
 @pytest.mark.parametrize("with_ws", [False, True], ids=["new", "ws"])
 @pytest.mark.parametrize("kind", ["self_attn", "cross_attn", "mlp", "final"])
 def test_out_of_range_rows_are_rejected(kind, with_ws):
-    """Row ids outside [0, N) raise instead of clipping or wrapping to another token."""
+    """Row ids outside [0, N) raise instead of clipping or wrapping to another token.
+
+    Self-attention checks its query ids; for every other kind the gather
+    that picks a partial call's rows checks them.
+    """
     c = cfg(text_tokens=3)
     model = init_model(c, seed=5)
     cond = Conditioning.random_text(c, 2)
     h = np.random.default_rng(6).normal(size=(4, 8))
     layer = c.depth if kind == KIND_FINAL else 1
+    ws = Workspace() if with_ws else None
+
+    def part(rows):
+        if kind == KIND_SELF:
+            return model._apply(layer, kind, cond, h, rows=rows, ws=ws)[0]
+        gathered = toca_model._take_rows(h, rows, toca_model._buffer(ws, "rows", 4, 8))
+        return model._apply(layer, kind, cond, gathered, ws=ws)[0]
+
     for rows in ([7], [-1], [0, 4], np.array([3, -4])):
         with pytest.raises(IndexError):
-            model._apply(layer, kind, cond, h, rows=rows, ws=Workspace() if with_ws else None)
+            part(rows)
     full, _ = model._apply(layer, kind, cond, h)
-    part, _ = model._apply(layer, kind, cond, h, rows=[1, 3], ws=Workspace() if with_ws else None)
-    assert np.array_equal(part, full[[1, 3]])
+    assert np.array_equal(part([1, 3]), full[[1, 3]])
 
 
 def _inject(layer, kind, token, delta):
@@ -485,6 +502,58 @@ def test_forward_batch_lockstep_matches_separate():
     both = model.forward_batch([x, x], 2.0, [cond_b, cond_a])
     assert np.array_equal(both[1].values, sep_a.values)
     assert np.array_equal(both[0].values, sep_b.values)
+
+
+# -- the module callables a cache context runs -------------------------------
+
+# A one-row call may differ from its row of the full call in the last bits
+# (NumPy's matrix-vector path): up to 5 ulps of the row's largest entry over
+# 60 seeds of this test's shapes
+ONE_ROW_ULPS = 8
+
+
+class _CheckingContext:
+    """A cache context that calls every module callable on row subsets too.
+
+    Each dispatch runs the full call, then each subset, records the pair,
+    and serves the full outputs, so the forward runs as without a cache.
+    """
+
+    def __init__(self, batch, subsets):
+        self.batch, self.subsets, self.pairs = batch, subsets, []
+
+    def dispatch(self, layer, kind, xs, fns):
+        outs = []
+        for h, (x, fn) in enumerate(zip(xs, fns)):
+            full = fn(x)[0].copy()
+            for rows in self.subsets:
+                self.pairs.append(((layer, kind, h), rows, fn(x, rows)[0].copy(), full[rows]))
+            with pytest.raises(IndexError):
+                fn(x, np.array([0, x.shape[0]]))
+            outs.append(full)
+        return outs
+
+
+@pytest.mark.parametrize("text", [True, False], ids=["text", "class"])
+def test_module_callables_gather_what_the_full_call_computes(text):
+    """The live partial call: fn(x, rows) is fn(x)[rows] at every site and half."""
+    c = cfg(depth=2, hidden=16, heads=4, grid_h=4, grid_w=4, text_tokens=3 if text else 0)
+    model = init_model(c, seed=3)
+    cond = Conditioning.random_text(c, 4) if text else Conditioning.random_class(c, 4)
+    x = FeatureMatrix(np.random.default_rng(5).normal(size=(16, 16)), c.grid)
+    multi = [np.array([0, 5, 6, 11]), np.array([3, 9]), np.array([1, 2, 7, 8, 13, 14, 15])]
+    one = [np.array([7]), np.array([15])]
+    ctx = _CheckingContext(2, multi + one)
+    want = model.forward_batch([x, x], 5.0, [Conditioning.null_for(c), cond])
+    got = model.forward_batch([x, x], 5.0, [Conditioning.null_for(c), cond], cache_ctx=ctx)
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(got, want))
+    assert {site for site, *_ in ctx.pairs} == {(*s, h) for s in c.sites for h in (0, 1)}
+    for site, rows, part, full_rows in ctx.pairs:
+        if len(rows) > 1:
+            assert np.array_equal(part, full_rows), (site, rows)
+        else:
+            ulp = np.finfo(np.float64).eps * np.abs(full_rows).max()
+            np.testing.assert_allclose(part, full_rows, rtol=0, atol=ONE_ROW_ULPS * ulp)
 
 
 # -- reused buffers and the site hook ---------------------------------------
