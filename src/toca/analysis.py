@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .config import SCALE_LIMIT
 from .model import KIND_FINAL, KIND_SELF, KINDS, Conditioning, FeatureMatrix, Model
 from .sampler import NoiseSchedule, RunStats, run_generation
 
@@ -126,10 +127,12 @@ def measure_error_propagation(
     token's row of the residual stream entering (layer, kind). With
     relative=True, sigma is first scaled by that row's norm, so 0.5 means
     "half the token's own magnitude". normalize divides the reported errors
-    by the clean run's mean output row norm.
+    by the clean run's mean output row norm. sigma must lie in
+    [0, config.SCALE_LIMIT], the bound ``[analyze] sigma`` has: far above
+    it the perturbed row's squares overflow and the errors read nan.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
+    if not 0 <= sigma <= SCALE_LIMIT:
+        raise ValueError(f"sigma must be in [0, {SCALE_LIMIT:g}], got {sigma}")
     cfg = model.config
     if (layer, kind) not in cfg.sites:
         raise ValueError(f"no module at layer {layer} kind {kind!r}")

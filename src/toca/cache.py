@@ -144,6 +144,18 @@ def cycle_plan(schedule: CacheSchedule, total_steps: int) -> list[int]:
     return fresh
 
 
+@functools.lru_cache(maxsize=64)
+def _cycles(schedule: CacheSchedule, total_steps: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """cycle_plan's fresh steps, and per step the length of the cycle it belongs to.
+
+    Built once per (schedule, total_steps) and shared read-only as tuples, like
+    the dispatch plan: every CacheContext of the config reads them.
+    """
+    fresh = tuple(cycle_plan(schedule, total_steps))
+    bounds = fresh + (total_steps,)
+    return fresh, tuple(b - a for a, b in zip(bounds, bounds[1:]) for _ in range(a, b))
+
+
 def type_ratio_factors(
     schedule: CacheSchedule, hidden: int, heads: int, n_tokens: int, n_text: int
 ) -> dict[str, float | None]:
@@ -252,7 +264,7 @@ def dispatch_plan(
     (schedule, config, total_steps) and shared read-only: a tuple of
     read-only mappings of frozen events, which every run of that config reads.
     """
-    fresh = set(cycle_plan(schedule, total_steps))
+    fresh = set(_cycles(schedule, total_steps)[0])
     factors = type_ratio_factors(
         schedule, config.hidden, config.heads, config.n_tokens, config.text_tokens
     )
@@ -422,12 +434,14 @@ class CacheContext:
     ``plan`` is the run's dispatch_plan, shared read-only by every context of
     the same (schedule, config, total_steps): each dispatch serves the
     DispatchEvent one lookup finds there, and a site outside ``config.sites``
-    has none and is rejected. The events are also the run's dispatch log;
-    the context records what they cannot tell, the per-token cache counts
-    and, on request, every dispatch's compute ids (``mask_log``). State is
-    single-run: one context per sampling trajectory (or guidance pair). The
-    dispatches of a run come from one thread; inside a dispatch of a pair,
-    half 1's share may run on the model's worker thread (see _serve).
+    has none and is rejected. ``fresh_steps``, cycle_plan's steps as a
+    tuple, is shared the same way. The events are also the run's dispatch
+    log; the context records what they cannot tell, the per-token cache
+    counts and, on request, every dispatch's compute ids (``mask_log``).
+    State is single-run: one context per sampling trajectory (or guidance
+    pair). The dispatches of a run come from one thread; inside a dispatch
+    of a pair, half 1's share may run on the model's worker thread, and a
+    batch-1 module call may run half its query rows there (see _serve).
     Independent runs get independent contexts and can run in parallel.
     """
 
@@ -446,11 +460,9 @@ class CacheContext:
         self.config = config
         self.total_steps = total_steps
         self.batch = batch
-        self.fresh_steps = cycle_plan(schedule, total_steps)
+        # shared read-only with every context of the same schedule and steps
+        self.fresh_steps, self._cycle_len = _cycles(schedule, total_steps)
         self.plan = dispatch_plan(schedule, config, total_steps)
-        # map every step to the extent of the cycle it belongs to
-        bounds = self.fresh_steps + [total_steps]
-        self._cycle_len = [b - a for a, b in zip(bounds, bounds[1:]) for _ in range(a, b)]
         # the masks of dispatches that cache nothing or everything; every such
         # dispatch and its mask_log entry share these read-only index arrays
         every, none = np.arange(config.n_tokens), np.arange(0)
@@ -503,8 +515,9 @@ class CacheContext:
 
         Once the masks are chosen, model.each_half serves the halves, sized
         by the rows they compute: a large enough pair runs half 1's share on
-        the model's worker thread while half 0's runs here, and a dispatch
-        that computes no row stays here. dispatch returns after both.
+        the model's worker thread while half 0's runs here, a large enough
+        batch-1 call runs half its query rows there, and a dispatch that
+        computes no row stays here. dispatch returns after both.
         """
         if self.step is None:
             raise RuntimeError("begin_step must be called before dispatch")
@@ -536,20 +549,24 @@ class CacheContext:
 
         model.each_half(
             self.config, kind, event.computed, self.batch,
-            lambda h: self._serve(h, layer, kind, xs[h], fns[h], masks[h]),
+            lambda h, split: self._serve(h, split, layer, kind, xs[h], fns[h], masks[h]),
         )
         if self.mask_log is not None:
             self.mask_log.append((self.step, layer, kind, [m.compute_idx for m in masks]))
         return [store.values[key] for store in self.stores]
 
-    def _serve(self, h: int, layer: int, kind: str, x, fn, mask: ComputeMask) -> None:
+    def _serve(self, h: int, split: bool, layer: int, kind: str, x, fn, mask: ComputeMask) -> None:
         """Half h's share of a dispatch: its module call, splice and bookkeeping.
 
         Touches only half h's store and row of cache_counts, so the two
-        halves of a pair may run on two threads.
+        halves of a pair may run on two threads. ``split`` (each_half's row
+        mode for a batch-1 call) is passed to the module call as
+        fn(x, rows, split=True).
         """
         store = self.stores[h]
         key = (layer, kind)
+        if split:
+            fn = functools.partial(fn, split=True)
         if mask is self._compute_all:  # n_cache == 0: compute every token
             store.values[key], attn = fn(x)
             store.counters[key] = np.zeros(self.cache_counts.shape[1], dtype=np.int64)

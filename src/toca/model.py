@@ -42,9 +42,12 @@ WEIGHTS_MAGIC = "TOCA-W1"
 # float64 logits one group of attention heads may stack (256 KiB); see _attend
 _LOGITS_BUDGET = 32768
 
-# FLOPs one half of a guided module call must execute before the other half
-# runs on the worker thread; see split_halves
+# FLOPs one half of a guided module call, or one row block of a batch-1 call,
+# must execute before it runs on the worker thread; see split_halves
 _SPLIT_FLOPS = 12_000_000
+
+# fewest query rows a row block of a batch-1 call holds; see each_half
+_SPLIT_MIN_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -92,6 +95,11 @@ class ModelConfig:
         """Every (layer, kind) module in forward order; the head is (depth, final)."""
         blocks = tuple((layer, kind) for layer in range(self.depth) for kind in self.group_kinds)
         return blocks + ((self.depth, KIND_FINAL),)
+
+    @cached_property
+    def split_rows(self) -> dict[str, int]:
+        """Per kind, the fewest rows of a batch-1 call that each_half splits by rows."""
+        return {kind: _fewest_split_rows(self, kind) for kind in KINDS}
 
 
 @dataclass
@@ -227,8 +235,10 @@ class Workspace:
     layer, which are never live together. The next take of a name overwrites
     what a view holds, so callers copy what they keep. A workspace is used
     by one thread at a time: run_generation builds one per run, and the
-    worker thread that runs the second half of a guided call keeps its own
-    (see run_halves).
+    worker thread keeps its own for the second half of a guided call (see
+    run_halves). The worker never takes from the caller's workspace: a row
+    block of a batch-1 call writes its own rows of buffers that the caller
+    took before the split, at the size the unsplit call takes.
     """
 
     def __init__(self) -> None:
@@ -247,9 +257,9 @@ class Workspace:
         return view
 
 
-# The one worker thread that runs the second half of a guided call (an
-# executor, started on first use under the lock; see run_halves), and its
-# thread-local scratch Workspace
+# The one worker thread that runs the second half of a guided call or of a
+# batch-1 call's rows (an executor, started on first use under the lock; see
+# run_halves), and its thread-local scratch Workspace
 _worker = None
 _worker_start = threading.Lock()
 _worker_local = threading.local()
@@ -281,10 +291,11 @@ def call_flops(config: ModelConfig, kind: str, rows: int) -> int:
 
 
 def split_halves(flops: int) -> bool:
-    """Whether a two-member call runs its halves on two threads.
+    """Whether a module call runs as two halves on two threads.
 
-    Only when one half executes at least _SPLIT_FLOPS (call_flops) and the
-    process may run on two CPUs (os.sched_getaffinity, which ``taskset``
+    ``flops`` is what one half executes: one member of a guided pair, or one
+    row block of a batch-1 call. Only when that is at least _SPLIT_FLOPS and
+    the process may run on two CPUs (os.sched_getaffinity, which ``taskset``
     restricts). A split costs a thread round trip of about 20 us, and the
     halves share the GIL: the NumPy calls of small modules mostly hold it,
     so only calls whose matrix products release it for long enough gain.
@@ -293,8 +304,7 @@ def split_halves(flops: int) -> bool:
     split: splitting at 8 MFLOP made a 4 x 64 model on 12 x 12 tokens, whose
     largest calls are ~10 MFLOP, 6% slower; at 12 MFLOP an 8 x 128 model on
     16 x 16 ran at 0.69 of its serial time (0.72 at 16 MFLOP), 4 x 96 on
-    12 x 12 at 0.94 and 4 x 64 on 16 x 16 at 0.82. Only each_half asks,
-    and only for batches of two, so a batch-1 run never starts the worker.
+    12 x 12 at 0.94 and 4 x 64 on 16 x 16 at 0.82. Only each_half asks.
     """
     if flops < _SPLIT_FLOPS:
         return False
@@ -303,26 +313,59 @@ def split_halves(flops: int) -> bool:
     return (os.cpu_count() or 1) > 1
 
 
-def each_half(config: ModelConfig, kind: str, rows: int, batch: int, work) -> None:
-    """Run work(h) for each member h of a module call computing ``rows`` rows each.
+def _block_flops(config: ModelConfig, kind: str, rows: int) -> int:
+    """call_flops of ``rows`` query rows, less the key/value projections the caller runs once."""
+    return call_flops(config, kind, rows) - call_flops(config, kind, 0)
 
-    The one split decision: a pair whose call computes rows and passes
-    split_halves (call_flops) runs on two threads (run_halves); every other
-    call, one that computes no row included, runs its members here in order.
+
+def _fewest_split_rows(config: ModelConfig, kind: str) -> int:
+    """The fewest rows m whose smaller row block, m // 2 rows, may run alone.
+
+    That block must hold _SPLIT_MIN_ROWS rows and execute _SPLIT_FLOPS
+    (_block_flops, which grows linearly in the rows). The floor keeps the
+    blocks bitwise: on OpenBLAS, the mid MLP's (m, 512) @ (512, 128) on
+    1-15 rows differs in the last bit from those rows of a product on 16 or
+    more, while every shape tested matched from 16 rows up. The head has no
+    row kernel; its N + 1 is more rows than any call computes.
     """
-    if batch == 2 and rows > 0 and split_halves(call_flops(config, kind, rows)):
-        run_halves(work)
+    if kind == KIND_FINAL:
+        return config.n_tokens + 1
+    per_row = _block_flops(config, kind, 1)
+    return 2 * max(_SPLIT_MIN_ROWS, -(-_SPLIT_FLOPS // per_row))
+
+
+def each_half(config: ModelConfig, kind: str, rows: int, batch: int, work) -> None:
+    """Run work(h, split) for each member h of a module call computing ``rows`` rows each.
+
+    The one split decision. A pair whose call computes rows and passes
+    split_halves (call_flops) runs work(0, False) here and work(1, False)
+    on the worker (run_halves). A batch-1 call of at least
+    config.split_rows[kind] rows whose smaller row block passes split_halves
+    (_block_flops) runs work(0, True): its attention or MLP kernel runs the
+    second half of its query rows on the worker (_by_rows). Every other
+    call, one that computes no row included, runs here with split False.
+    So a half of a pair never splits its rows, nothing on the worker asks
+    for the worker, and a small batch-1 call pays one integer comparison.
+    """
+    if batch == 1:
+        big = rows >= config.split_rows[kind]
+        work(0, big and split_halves(_block_flops(config, kind, rows // 2)))
+    elif batch == 2 and rows > 0 and split_halves(call_flops(config, kind, rows)):
+        run_halves(lambda h: work(h, False))
     else:
         for h in range(batch):
-            work(h)
+            work(h, False)
 
 
 def run_halves(work) -> None:
     """Run work(1) on the worker thread while work(0) runs on the caller.
 
     Returns only after both halves have stopped; an error of either half
-    then propagates, half 0's first. The worker computes in its own
-    Workspace, which ``scratch_for`` hands it.
+    then propagates, half 0's first. The second half of a guided pair
+    computes in the worker's own Workspace, which ``scratch_for`` hands it;
+    a row block writes its rows of buffers the caller took. Callers on
+    several threads share the one worker and queue behind it, and work(1)
+    must not call run_halves itself: the worker would wait on itself.
     """
     global _worker
     with _worker_start:  # callers on several threads still start one worker
@@ -411,14 +454,30 @@ def _take_rows(x: np.ndarray, rows, out: np.ndarray) -> np.ndarray:
     return np.take(x, idx, axis=0, out=out[: idx.shape[0]], mode="clip")
 
 
+def _by_rows(split: bool, kernel, rows: tuple, *shared) -> None:
+    """kernel(*rows, *shared), or split: rows [0, m // 2) here, [m // 2, m) on the worker.
+
+    ``rows`` are arrays over the same m query rows; both blocks read
+    ``shared``. A kernel writes only the rows it is given, with each row's
+    arithmetic that of the unsplit call, so no output bit depends on the
+    split (_fewest_split_rows holds the row floor that keeps it so).
+    """
+    if not split:
+        kernel(*rows, *shared)
+        return
+    half = rows[0].shape[0] // 2
+    run_halves(lambda h: kernel(*(r[half:] if h else r[:half] for r in rows), *shared))
+
+
 def _attend(
-    xq, kv, weights: AttnWeights, heads: int, counter: FlopCounter | None, out=None, ws=None
+    xq, kv, weights: AttnWeights, heads: int, counter: FlopCounter | None, out=None, ws=None,
+    split: bool = False,
 ):
     """Multi-head attention of (m, d) query rows against (n, d) key/value rows.
 
-    Projects queries from ``xq`` and keys/values from ``kv``. Heads run in
+    Projects keys/values from ``kv``, then queries from ``xq``. Heads run in
     groups of g = max(1, min(H, _LOGITS_BUDGET // (m * n))), stacked in one
-    (g * m, n) logits buffer: per group one logits matmul, one scale, one
+    (g * m, n) logits stack: per group one logits matmul, one scale, one
     softmax, one attention x V matmul and one sum into the map, so NumPy's
     per-call overhead is paid per group, not per head. The budget keeps a
     group's logits in cache. Per call, on one BLAS thread of a 2-vCPU VM:
@@ -430,12 +489,18 @@ def _attend(
     matmuls see the same strided operands, and heads enter the map in order
     0..H-1. Returns the projected output (m, d), written into ``out`` when
     given, and the head-averaged attention map (m, n), which lives in ``ws``.
+
+    ``split`` (each_half's row mode) projects keys and values here once and
+    runs the query rows as two blocks (_by_rows), each on its own rows of q,
+    the head outputs, the map and the output, and with its own logits stack
+    in its rows of one (m, g * n) buffer: this thread takes every buffer, at
+    the unsplit size.
     """
     m, d = xq.shape
     n = kv.shape[0]
     if d % heads != 0:
         raise ValueError(f"hidden size {d} not divisible by {heads} heads")
-    q = np.matmul(xq, weights.wq, out=_buffer(ws, "q", m, d))
+    q = _buffer(ws, "q", m, d)
     k = np.matmul(kv, weights.wk, out=_buffer(ws, "k", n, d))
     v = np.matmul(kv, weights.wv, out=_buffer(ws, "v", n, d))
     dh = d // heads
@@ -447,18 +512,32 @@ def _attend(
             counter.matmul(m, dh, n)
             counter.softmax(m * n)
             counter.matmul(m, n, dh)
+        counter.matmul(m, d, d)
 
-    scale = 1.0 / math.sqrt(dh)
-    out_heads = _buffer(ws, "heads", m, d)
-    # (H, rows, dh) views of q, v and the head outputs, and k as (H, dh, n):
-    # none of them copies
-    q3 = q.reshape(m, heads, dh).transpose(1, 0, 2)
+    # k as (H, dh, n) and v as (H, n, dh): neither view copies
     k3 = k.reshape(n, heads, dh).transpose(1, 2, 0)
     v3 = v.reshape(n, heads, dh).transpose(1, 0, 2)
-    o3 = out_heads.reshape(m, heads, dh).transpose(1, 0, 2)
+    out_heads = _buffer(ws, "heads", m, d)
     attn_sum = _buffer(ws, "map", m, n)
     g = max(1, min(heads, _LOGITS_BUDGET // max(1, m * n)))
-    logits = _buffer(ws, "logits", g * m, n)
+    # (m, g * n): a block's rows of it hold the block's own (g * rows, n) stack
+    logits = _buffer(ws, "logits", m, g * n)
+    out = _buffer(ws, "out", m, d, out)
+    rows = (xq, q, out_heads, attn_sum, out, logits)
+    _by_rows(split, _attend_rows, rows, k3, v3, weights, g)
+    return out, attn_sum
+
+
+def _attend_rows(xq, q, out_heads, attn_sum, out, logits, k3, v3, weights: AttnWeights, g: int):
+    """_attend's work for the query rows xq, written into the same rows of the rest."""
+    m = xq.shape[0]
+    heads, dh, n = k3.shape
+    np.matmul(xq, weights.wq, out=q)
+    scale = 1.0 / math.sqrt(dh)
+    # (H, rows, dh) views of q and the head outputs: neither copies
+    q3 = q.reshape(m, heads, dh).transpose(1, 0, 2)
+    o3 = out_heads.reshape(m, heads, dh).transpose(1, 0, 2)
+    logits = logits.reshape(g * m, n)
     for h0 in range(0, heads, g):
         h1 = min(h0 + g, heads)
         a = logits[: (h1 - h0) * m]
@@ -475,11 +554,7 @@ def _attend(
             for j in range(h1 - h0):
                 attn_sum += a3[j]
     attn_sum /= heads
-
-    out = np.matmul(out_heads, weights.wo, out=_buffer(ws, "out", m, d, out))
-    if counter is not None:
-        counter.matmul(m, d, d)
-    return out, attn_sum
+    np.matmul(out_heads, weights.wo, out=out)
 
 
 def self_attention_forward(
@@ -490,6 +565,7 @@ def self_attention_forward(
     counter: FlopCounter | None = None,
     out=None,
     ws: Workspace | None = None,
+    split: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Multi-head self-attention over the token stream.
 
@@ -498,11 +574,12 @@ def self_attention_forward(
     than its queries, so the only one that takes row ids. Returns the module
     output together with the head-averaged attention map (rows = queries,
     columns = tokens). The output goes to ``out`` when given; intermediates,
-    and the output otherwise, go to ``ws`` when given.
+    and the output otherwise, go to ``ws`` when given. ``split`` runs the
+    query rows as two blocks on two threads (each_half, _attend).
     """
     x = linalg.as_matrix(x)
     xq = x if rows is None else _take_rows(x, rows, _buffer(ws, "rows", len(rows), x.shape[1]))
-    return _attend(xq, x, weights, heads, counter, out, ws)
+    return _attend(xq, x, weights, heads, counter, out, ws, split)
 
 
 def cross_attention_forward(
@@ -513,6 +590,7 @@ def cross_attention_forward(
     counter: FlopCounter | None = None,
     out=None,
     ws: Workspace | None = None,
+    split: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Attention of every row of x (a partial call's rows only) against text keys/values."""
     x = linalg.as_matrix(x)
@@ -523,7 +601,7 @@ def cross_attention_forward(
         raise ValueError("cross-attention needs at least one text token")
     if text.shape[1] != x.shape[1]:
         raise ValueError(f"text hidden size {text.shape[1]} != {x.shape[1]}")
-    return _attend(x, text, weights, heads, counter, out, ws)
+    return _attend(x, text, weights, heads, counter, out, ws, split)
 
 
 def mlp_forward(
@@ -532,20 +610,32 @@ def mlp_forward(
     counter: FlopCounter | None = None,
     out=None,
     ws: Workspace | None = None,
+    split: bool = False,
 ) -> np.ndarray:
-    """Token-wise two-layer MLP with a ReLU between the projections, on every row of x."""
+    """Token-wise two-layer MLP with a ReLU between the projections, on every row of x.
+
+    ``split`` runs the rows as two blocks on two threads (each_half,
+    _by_rows), each on its own rows of the hidden layer and the output.
+    """
     x = linalg.as_matrix(x)
     m, d = x.shape
     d2 = weights.w1.shape[1]
     # the hidden layer shares its workspace memory with the attention logits
-    h = np.matmul(x, weights.w1, out=_buffer(ws, "logits", m, d2))
-    np.maximum(h, 0.0, out=h)
-    out = np.matmul(h, weights.w2, out=_buffer(ws, "out", m, d, out))
+    h = _buffer(ws, "logits", m, d2)
+    out = _buffer(ws, "out", m, d, out)
+    _by_rows(split, _mlp_rows, (x, h, out), weights)
     if counter is not None:
         counter.matmul(m, d, d2)
         counter.activation(m * d2)
         counter.matmul(m, d2, d)
     return out
+
+
+def _mlp_rows(x, h, out, weights: MlpWeights) -> None:
+    """mlp_forward's work for the rows x, written into the same rows of h and out."""
+    np.matmul(x, weights.w1, out=h)
+    np.maximum(h, 0.0, out=h)
+    np.matmul(h, weights.w2, out=out)
 
 
 class Model:
@@ -581,25 +671,30 @@ class Model:
             stream += cond.class_embedding[None, :]
         return stream
 
-    def _apply(self, layer: int, kind: str, cond: Conditioning, h, rows=None, out=None, ws=None):
+    def _apply(
+        self, layer: int, kind: str, cond: Conditioning, h, rows=None, out=None, ws=None,
+        split=False,
+    ):
         """One module on the (normed) stream h: (output, attention map or None).
 
         Only self-attention takes ``rows``, the query rows it computes against
         the full stream; any other kind computes every row of h and raises
         ValueError on row ids. The output goes to ``out`` when given;
         intermediates, and the output otherwise, go to the workspace ``ws``.
+        ``split`` runs an attention or MLP kernel's rows as two blocks on two
+        threads (each_half's row mode); the head ignores it.
         """
         heads = self.config.heads
         if kind == KIND_SELF:
             w = self.groups[layer].self_attn
-            return self_attention_forward(h, w, heads, rows, out=out, ws=ws)
+            return self_attention_forward(h, w, heads, rows, out=out, ws=ws, split=split)
         if rows is not None:
             raise ValueError(f"only self-attention takes row ids, not {kind!r}")
         if kind == KIND_CROSS:
             w = self.groups[layer].cross_attn
-            return cross_attention_forward(h, cond.text, w, heads, out=out, ws=ws)
+            return cross_attention_forward(h, cond.text, w, heads, out=out, ws=ws, split=split)
         if kind == KIND_MLP:
-            return mlp_forward(h, self.groups[layer].mlp, out=out, ws=ws), None
+            return mlp_forward(h, self.groups[layer].mlp, out=out, ws=ws, split=split), None
         if kind == KIND_FINAL:
             return np.matmul(h, self.out_proj, out=_buffer(ws, "out", *h.shape, out)), None
         raise ValueError(f"unknown module kind {kind!r}")
@@ -638,12 +733,14 @@ class Model:
         context, and one reused buffer per stream without one; nothing else
         keeps them past the residual add.
 
-        each_half decides whether a batch of two runs a module's second half
-        on the worker thread while the first runs here: without a context
-        here, under one in the context's dispatch. The worker computes its
-        scratch in its own Workspace and writes only its own stream's rows,
-        output and slot in ``ws``; the residual adds stay on this thread, so
-        no output bit depends on it.
+        each_half decides whether a module call uses the worker thread:
+        without a context here, under one in the context's dispatch. A batch
+        of two may run its second half there while the first runs here; the
+        worker then computes its scratch in its own Workspace and writes only
+        its own stream's rows, output and slot in ``ws``. A large enough
+        batch-1 call may run the second half of its query rows there, into
+        those rows of this thread's buffers. The layer norms and residual
+        adds stay on this thread, so no output bit depends on the worker.
 
         Under a context, each dispatch gets the raw residual streams, and its
         module callables normalise only the rows the module reads: all N for
@@ -652,8 +749,10 @@ class Model:
         all when the dispatch reuses every token. Only self-attention gets
         row ids; any other kind runs on the computed rows, gathered into the
         stream's normed buffer. Row subsets of a layer norm, and of a module
-        call on two or more rows, are bitwise those rows of the full call; a
-        one-row call may differ in the last bit (NumPy's matrix-vector path).
+        call on at least _SPLIT_MIN_ROWS (16) rows, are bitwise those rows of
+        the full call. Fewer rows may differ in the last bit: one row always
+        (NumPy's matrix-vector path), and 2-15 rows where OpenBLAS's product
+        for few rows differs, as at the mid MLP's 512 -> 128 projection.
         Without a context every module but the head reads the normed stream.
 
         ``site_hook``, when given, is called as
@@ -689,7 +788,7 @@ class Model:
             # context keeps, or the stream's output; row subsets go to scratch.
             full = outputs[h] if cache_ctx is None else ws.take(("slot", layer, kind, h), n, d)
 
-            def fn(x, rows=None):
+            def fn(x, rows=None, split=False):
                 scratch = scratch_for(ws)
                 out = full if rows is None else None
                 if rows is not None and kind != KIND_SELF:
@@ -700,7 +799,7 @@ class Model:
                         x = layer_norm_rows(x, out=x, ws=scratch)
                 elif kind != KIND_FINAL:
                     x = layer_norm_rows(x, out=normed[h], ws=scratch)
-                return self._apply(layer, kind, conds[h], x, rows, out=out, ws=scratch)
+                return self._apply(layer, kind, conds[h], x, rows, out=out, ws=scratch, split=split)
 
             return fn
 
@@ -708,7 +807,7 @@ class Model:
             fns = [module(layer, kind, h) for h in halves]
             if cache_ctx is not None:
                 return cache_ctx.dispatch(layer, kind, streams, fns)
-            each_half(cfg, kind, n, len(xs), lambda h: fns[h](streams[h]))
+            each_half(cfg, kind, n, len(xs), lambda h, split: fns[h](streams[h], split=split))
             return outputs
 
         for layer, kind in cfg.sites:

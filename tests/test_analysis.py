@@ -69,6 +69,22 @@ def test_propagation_sigma_zero_is_exactly_zero():
     assert np.all(prof.errors == 0.0)
 
 
+@pytest.mark.parametrize("relative", [False, True])
+def test_propagation_sigma_outside_the_config_bound_is_rejected(relative):
+    """Library callers get the bound [analyze] sigma has, not nan errors."""
+    from toca.config import SCALE_LIMIT
+
+    c, model, cond = toy()
+    x = FeatureMatrix(np.random.default_rng(0).normal(size=(4, 8)), (2, 2))
+    run = lambda sigma: measure_error_propagation(  # noqa: E731
+        model, x, 3.0, cond, 0, "self_attn", 1, sigma, relative=relative
+    )
+    for sigma in (1e160, np.nextafter(SCALE_LIMIT, np.inf), -0.1, float("nan")):
+        with pytest.raises(ValueError, match="sigma must be in"):
+            run(sigma)
+    assert np.all(np.isfinite(run(SCALE_LIMIT).errors))
+
+
 def test_propagation_final_layer_zero_init_oracle():
     """With zero modules and an identity head the error is just the delta norm."""
     c = ModelConfig(depth=2, hidden=8, heads=2, grid_h=2, grid_w=2)

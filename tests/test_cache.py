@@ -13,11 +13,13 @@ from toca import (
     Conditioning,
     FeatureMatrix,
     ModelConfig,
+    NoiseSchedule,
     PROFILES,
     apply_spatial_boost,
     cycle_plan,
     dispatch_plan,
     effective_cache_ratio,
+    run_generation,
     score_s1,
     score_s2,
     score_s3,
@@ -30,6 +32,7 @@ from toca.cache import (
     cached_layer_apply,
     type_ratio_factors,
 )
+import toca.cache as cache_mod
 import toca.model
 from toca.model import KIND_FINAL, KIND_SELF, Workspace, init_model
 
@@ -732,6 +735,25 @@ def test_equal_configs_share_one_read_only_plan():
         a.plan[1][(0, "mlp")] = DispatchEvent(1, 0, "mlp", 0.0, 16, 0)
     with pytest.raises(TypeError):
         a.plan[1] = {}
+
+
+def test_contexts_share_one_fresh_step_tuple(monkeypatch):
+    """cycle_plan runs once per (schedule, steps), not once per generation."""
+    sched = PROFILES["toca-dit"]
+    config = ModelConfig(depth=2, hidden=8, heads=2, grid_h=4, grid_w=4)
+    cache_mod._cycles.cache_clear()
+    calls = []
+    real = cache_mod.cycle_plan
+    monkeypatch.setattr(cache_mod, "cycle_plan", lambda *a: calls.append(a) or real(*a))
+    a = CacheContext(sched, config, 13)
+    b = CacheContext(dataclasses.replace(sched), ModelConfig(2, 8, 2, 4, 4), 13, batch=2)
+    assert a.fresh_steps is b.fresh_steps == tuple(real(sched, 13))
+    assert len(calls) == 1
+    model = init_model(config, seed=1)
+    _, stats = run_generation(
+        model, Conditioning.random_class(config, 2), NoiseSchedule.linear(13), sched
+    )
+    assert stats.fresh_steps == real(sched, 13) and len(calls) == 1
 
 
 @pytest.mark.parametrize("guided", [False, True])

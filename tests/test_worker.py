@@ -1,8 +1,10 @@
-"""The worker thread that runs the second half of a guided call.
+"""The worker thread that runs the second half of a guided call or of a batch-1 call's rows.
 
 Every test forces the split on or off through model.split_halves, the size
 and CPU rule that model.each_half consults, so a runner with a single CPU
-still runs the threaded path.
+still runs the threaded path. Batch-1 calls also need config.split_rows,
+which a test lowers to the row floor by building its model config after
+setting model._SPLIT_FLOPS to 0.
 """
 
 import concurrent.futures
@@ -42,17 +44,29 @@ def _force(monkeypatch, on: bool):
     monkeypatch.setattr(tm, "split_halves", lambda flops: on)
 
 
-def _toy(text: bool):
-    c = ModelConfig(depth=2, hidden=16, heads=2, grid_h=4, grid_w=4, text_tokens=3 if text else 0)
+def _toy(text: bool, grid: int = 4):
+    c = ModelConfig(
+        depth=2, hidden=16, heads=2, grid_h=grid, grid_w=grid, text_tokens=3 if text else 0
+    )
     cond = Conditioning.random_text(c, 5) if text else Conditioning.random_class(c, 5)
     return init_model(c, seed=3), cond
 
 
-def _generate(model, cond, profile="toca-pixart", sampler="ddim", coupled=True, seed=7, **kw):
+def _rows_split(monkeypatch, text: bool):
+    """A toy model whose full calls (64 rows) split by rows wherever split_halves allows."""
+    monkeypatch.setattr(tm, "_SPLIT_FLOPS", 0)
+    model, cond = _toy(text, grid=8)
+    assert model.config.split_rows[KIND_MLP] == 2 * tm._SPLIT_MIN_ROWS
+    return model, cond
+
+
+def _generate(
+    model, cond, profile="toca-pixart", sampler="ddim", coupled=True, seed=7, guidance=3.0, **kw
+):
     sched = dataclasses.replace(PROFILES[profile], cfg_coupled=coupled)
     return run_generation(
         model, cond, NoiseSchedule.linear(STEPS), sched, seed=seed, sampler=sampler,
-        guidance=3.0, collect_eps=True, record_masks=True, **kw,
+        guidance=guidance, collect_eps=True, record_masks=True, **kw,
     )
 
 
@@ -70,21 +84,53 @@ def _record(x0, stats):
     )
 
 
-@pytest.mark.parametrize("coupled", [True, False])
+# None: an unguided batch-1 run, whose full calls split by rows
+@pytest.mark.parametrize("coupled", [True, False, None], ids=["True", "False", "batch1"])
 @pytest.mark.parametrize("sampler", ["ddpm", "ddim"])
 @pytest.mark.parametrize("profile", ["off", "naive-full", "toca-dit", "toca-pixart"])
 @pytest.mark.parametrize("text", [False, True])
 def test_worker_on_and_off_agree_bitwise(monkeypatch, text, profile, sampler, coupled):
-    model, cond = _toy(text)
+    if coupled is None:
+        model, cond = _rows_split(monkeypatch, text)
+        kw = dict(guidance=None)
+    else:
+        model, cond = _toy(text)
+        kw = dict(coupled=coupled)
     runs = {}
     real = tm.run_halves
     for on in (False, True):
         _force(monkeypatch, on)
         calls = []
         monkeypatch.setattr(tm, "run_halves", lambda work: calls.append(1) or real(work))
-        runs[on] = _record(*_generate(model, cond, profile, sampler, coupled))
+        runs[on] = _record(*_generate(model, cond, profile, sampler, **kw))
         assert bool(calls) == on
     assert runs[True] == runs[False]
+
+
+@pytest.mark.parametrize("profile", ["off", "toca-pixart"])
+def test_a_pair_split_is_one_round_trip_and_never_splits_rows(monkeypatch, profile):
+    # every call of this model could split by rows, were it not one half of a pair
+    model, cond = _rows_split(monkeypatch, text=True)
+    _force(monkeypatch, True)
+    trips, splits = [], []
+    run_halves, by_rows = tm.run_halves, tm._by_rows
+
+    def one_trip(work):
+        # a round trip asked for on the worker would wait on itself: fail instead
+        assert threading.current_thread() is threading.main_thread()
+        trips.append(1)
+        run_halves(work)
+
+    monkeypatch.setattr(tm, "run_halves", one_trip)
+    monkeypatch.setattr(
+        tm, "_by_rows", lambda split, *args: splits.append(split) or by_rows(split, *args)
+    )
+    _, stats = _generate(model, cond, profile)
+    computing = STEPS * len(model.config.sites) if profile == "off" else sum(
+        1 for e in stats.events if e.computed
+    )
+    assert len(trips) == computing
+    assert splits and not any(splits)
 
 
 def test_dispatches_that_compute_no_row_stay_on_the_caller(monkeypatch):
@@ -116,9 +162,9 @@ def test_worker_runs_half_one_on_its_own_thread_and_scratch(monkeypatch):
     seen = {}
     real = model._apply
 
-    def apply(layer, kind, c, h, rows=None, out=None, ws=None):
+    def apply(layer, kind, c, h, rows=None, out=None, ws=None, split=False):
         seen.setdefault(c is cond, set()).add((threading.get_ident(), id(ws)))
-        return real(layer, kind, c, h, rows, out=out, ws=ws)
+        return real(layer, kind, c, h, rows, out=out, ws=ws, split=split)
 
     monkeypatch.setattr(model, "_apply", apply)
     _generate(model, cond)
@@ -168,18 +214,87 @@ def test_concurrent_guided_runs_share_one_worker(monkeypatch):
     assert len(pools) == len(started) == 1
 
 
-def test_batch_one_and_small_guided_runs_never_start_the_worker(monkeypatch):
-    monkeypatch.setattr(tm, "_worker", None)
-    model, cond = _toy(text=True)
+def test_concurrent_batch_one_runs_queue_behind_one_worker(monkeypatch):
+    model, cond = _rows_split(monkeypatch, text=False)
+
+    def run(seed):
+        return _record(*_generate(model, cond, seed=seed, guidance=None))
+
+    _force(monkeypatch, False)
+    want = {seed: run(seed) for seed in (1, 2, 3)}
     _force(monkeypatch, True)
-    for profile in ("off", "toca-pixart"):
-        sched = PROFILES[profile]
-        run_generation(model, cond, NoiseSchedule.linear(STEPS), sched, seed=1)
-    assert tm._worker is None
+    got = {}
+
+    def run_into(seed):
+        got[seed] = run(seed)
+
+    callers = [threading.Thread(target=run_into, args=(seed,)) for seed in want]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert got == want
+
+
+def test_calls_below_the_size_rule_never_start_the_worker(monkeypatch):
+    monkeypatch.setattr(tm, "_worker", None)
+    _force(monkeypatch, True)
+
+    def batch_one_runs(model, cond):
+        for profile in ("off", "toca-pixart"):
+            _generate(model, cond, profile, guidance=None)
+
+    batch_one_runs(*_toy(text=True, grid=8))  # 64-row calls: below _SPLIT_FLOPS
     monkeypatch.setattr(tm, "split_halves", split_halves)
-    _generate(model, cond)
+    model, cond = _toy(text=True)
+    _generate(model, cond)  # guided pairs below _SPLIT_FLOPS
     _generate(model, cond, profile="off")
     assert tm._worker is None
+    _force(monkeypatch, True)
+    monkeypatch.setattr(tm, "_SPLIT_FLOPS", 0)
+    batch_one_runs(*_toy(text=True))  # 16-row calls: below the row floor
+    assert tm._worker is None
+    batch_one_runs(*_toy(text=True, grid=8))  # at the floor, and past the FLOPs: it splits
+    assert tm._worker is not None
+    tm._worker.shutdown()
+
+
+def test_split_rows_are_the_fewest_that_hold_the_floor_and_the_flops():
+    for c in (
+        ModelConfig(depth=8, hidden=128, heads=8, grid_h=16, grid_w=16, text_tokens=16),
+        ModelConfig(depth=4, hidden=32, heads=4, grid_h=8, grid_w=8),
+        ModelConfig(depth=2, hidden=512, heads=8, grid_h=8, grid_w=8, text_tokens=4),
+    ):
+        def passes(kind, m):
+            block = m // 2
+            flops = tm._block_flops(c, kind, block)
+            return block >= tm._SPLIT_MIN_ROWS and flops >= tm._SPLIT_FLOPS
+
+        for kind in (KIND_SELF, KIND_CROSS, KIND_MLP):
+            m = c.split_rows[kind]
+            assert passes(kind, m) and not passes(kind, m - 1)
+        assert c.split_rows[KIND_FINAL] > c.n_tokens  # the head never splits
+    mid = ModelConfig(depth=8, hidden=128, heads=8, grid_h=16, grid_w=16)
+    assert (mid.split_rows[KIND_SELF], mid.split_rows[KIND_MLP]) == (118, 92)
+
+
+def test_a_batch_one_call_splits_its_rows_from_the_memo_up(monkeypatch):
+    c = ModelConfig(depth=8, hidden=128, heads=8, grid_h=16, grid_w=16)
+    asked = []
+    monkeypatch.setattr(tm, "split_halves", lambda flops: asked.append(flops) or True)
+    cases = [(k, c.split_rows[k] + d, d == 0) for k in (KIND_SELF, KIND_MLP) for d in (-1, 0)]
+    for kind, rows, want in cases + [(KIND_MLP, 0, False), (KIND_FINAL, c.n_tokens, False)]:
+        got = []
+        tm.each_half(c, kind, rows, 1, lambda h, split: got.append((h, split)))
+        assert got == [(0, want)]
+    # only calls past the memo ask split_halves, about one row block
+    assert asked == [tm._block_flops(c, KIND_SELF, 59), tm._block_flops(c, KIND_MLP, 46)]
 
 
 def test_split_needs_the_size_and_two_cpus(monkeypatch):
@@ -234,14 +349,14 @@ def test_error_in_either_half_leaves_after_both_stop(monkeypatch, bad, cached):
     finished = []
     real = model._apply
 
-    def apply(layer, kind, c, h, rows=None, out=None, ws=None):
+    def apply(layer, kind, c, h, rows=None, out=None, ws=None, split=False):
         if kind == KIND_MLP:
             half = 1 if c is cond else 0
             if half == bad:
                 raise RuntimeError(f"half {half} fails")
             time.sleep(0.05)
             finished.append(half)
-        return real(layer, kind, c, h, rows, out=out, ws=ws)
+        return real(layer, kind, c, h, rows, out=out, ws=ws, split=split)
 
     monkeypatch.setattr(model, "_apply", apply)
     with pytest.raises(RuntimeError, match=f"half {bad} fails"):
