@@ -440,9 +440,9 @@ class CacheContext:
     counts and, on request, every dispatch's compute ids (``mask_log``).
     State is single-run: one context per sampling trajectory (or guidance
     pair). The dispatches of a run come from one thread; inside a dispatch
-    of a pair, half 1's share may run on the model's worker thread, and a
-    batch-1 module call may run half its query rows there (see _serve).
-    Independent runs get independent contexts and can run in parallel.
+    of a pair, half 1's share may run on the model's worker thread (see
+    _serve). Independent runs get independent contexts and can run in
+    parallel.
     """
 
     def __init__(
@@ -513,11 +513,10 @@ class CacheContext:
         and ages the cached ones. Returns the per-half slots, which are the
         module outputs until the next dispatch of the same (layer, kind).
 
-        Once the masks are chosen, model.each_half serves the halves, sized
-        by the rows they compute: a large enough pair runs half 1's share on
-        the model's worker thread while half 0's runs here, a large enough
-        batch-1 call runs half its query rows there, and a dispatch that
-        computes no row stays here. dispatch returns after both.
+        Once the masks are chosen, model.each_half serves the halves, given
+        the rows each computes: it may run half 1's share on the model's
+        worker thread while half 0's runs here, and dispatch returns after
+        both. How a module call runs is the model's affair.
         """
         if self.step is None:
             raise RuntimeError("begin_step must be called before dispatch")
@@ -549,24 +548,20 @@ class CacheContext:
 
         model.each_half(
             self.config, kind, event.computed, self.batch,
-            lambda h, split: self._serve(h, split, layer, kind, xs[h], fns[h], masks[h]),
+            lambda h: self._serve(h, layer, kind, xs[h], fns[h], masks[h]),
         )
         if self.mask_log is not None:
             self.mask_log.append((self.step, layer, kind, [m.compute_idx for m in masks]))
         return [store.values[key] for store in self.stores]
 
-    def _serve(self, h: int, split: bool, layer: int, kind: str, x, fn, mask: ComputeMask) -> None:
-        """Half h's share of a dispatch: its module call, splice and bookkeeping.
+    def _serve(self, h: int, layer: int, kind: str, x, fn, mask: ComputeMask) -> None:
+        """Half h's share of a dispatch: its module call fn(x, rows=None), splice and bookkeeping.
 
         Touches only half h's store and row of cache_counts, so the two
-        halves of a pair may run on two threads. ``split`` (each_half's row
-        mode for a batch-1 call) is passed to the module call as
-        fn(x, rows, split=True).
+        halves of a pair may run on two threads.
         """
         store = self.stores[h]
         key = (layer, kind)
-        if split:
-            fn = functools.partial(fn, split=True)
         if mask is self._compute_all:  # n_cache == 0: compute every token
             store.values[key], attn = fn(x)
             store.counters[key] = np.zeros(self.cache_counts.shape[1], dtype=np.int64)

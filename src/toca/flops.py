@@ -132,7 +132,7 @@ def estimate_run_flops(
     overhead. The baseline prices the same dispatches with nothing cached.
     Classifier-free guidance doubles everything.
     """
-    from .cache import cycle_plan, dispatch_plan
+    from .cache import _cycles, dispatch_plan
     from .model import KIND_FINAL, ModelConfig
 
     # the plan reads only the token count, so one row of n_tokens serves as grid
@@ -164,7 +164,7 @@ def estimate_run_flops(
         cached_flops=total,
         overhead_flops=overhead,
         speedup=baseline / total,
-        fresh_steps=len(cycle_plan(schedule, total_steps)),
+        fresh_steps=len(_cycles(schedule, total_steps)[0]),
         total_steps=total_steps,
         per_type_baseline=per_type_baseline,
         per_type_cached=per_type_cached,

@@ -43,10 +43,10 @@ WEIGHTS_MAGIC = "TOCA-W1"
 _LOGITS_BUDGET = 32768
 
 # FLOPs one half of a guided module call, or one row block of a batch-1 call,
-# must execute before it runs on the worker thread; see split_halves
+# must execute before it runs on the worker thread; see _fewest_split_rows
 _SPLIT_FLOPS = 12_000_000
 
-# fewest query rows a row block of a batch-1 call holds; see each_half
+# fewest query rows a row block of a batch-1 call holds; see _fewest_split_rows
 _SPLIT_MIN_ROWS = 16
 
 
@@ -97,9 +97,9 @@ class ModelConfig:
         return blocks + ((self.depth, KIND_FINAL),)
 
     @cached_property
-    def split_rows(self) -> dict[str, int]:
-        """Per kind, the fewest rows of a batch-1 call that each_half splits by rows."""
-        return {kind: _fewest_split_rows(self, kind) for kind in KINDS}
+    def split_rows(self) -> dict[tuple[int, str], int]:
+        """The worker rule: per (batch, kind), the fewest rows a call needs (_fewest_split_rows)."""
+        return {(b, kind): _fewest_split_rows(self, b, kind) for b in (1, 2) for kind in KINDS}
 
 
 @dataclass
@@ -235,10 +235,11 @@ class Workspace:
     layer, which are never live together. The next take of a name overwrites
     what a view holds, so callers copy what they keep. A workspace is used
     by one thread at a time: run_generation builds one per run, and the
-    worker thread keeps its own for the second half of a guided call (see
-    run_halves). The worker never takes from the caller's workspace: a row
-    block of a batch-1 call writes its own rows of buffers that the caller
-    took before the split, at the size the unsplit call takes.
+    worker thread keeps its own for the second half of a guided pair
+    (each_half's pair mode). The worker never takes from the caller's
+    workspace: in the row mode of a batch-1 module call, its row block
+    writes its own rows of buffers that the caller took before the split,
+    at the size the unsplit call takes.
     """
 
     def __init__(self) -> None:
@@ -257,9 +258,9 @@ class Workspace:
         return view
 
 
-# The one worker thread that runs the second half of a guided call or of a
-# batch-1 call's rows (an executor, started on first use under the lock; see
-# run_halves), and its thread-local scratch Workspace
+# The one worker thread that runs the second half of a guided pair or of a
+# batch-1 call's query rows (an executor, started on first use under the lock;
+# see run_halves), and its thread-local scratch Workspace
 _worker = None
 _worker_start = threading.Lock()
 _worker_local = threading.local()
@@ -290,82 +291,75 @@ def call_flops(config: ModelConfig, kind: str, rows: int) -> int:
     return flops_cross_attention(rows, keys, d, config.heads)
 
 
-def split_halves(flops: int) -> bool:
-    """Whether a module call runs as two halves on two threads.
-
-    ``flops`` is what one half executes: one member of a guided pair, or one
-    row block of a batch-1 call. Only when that is at least _SPLIT_FLOPS and
-    the process may run on two CPUs (os.sched_getaffinity, which ``taskset``
-    restricts). A split costs a thread round trip of about 20 us, and the
-    halves share the GIL: the NumPy calls of small modules mostly hold it,
-    so only calls whose matrix products release it for long enough gain.
-    Measured on a 2-vCPU VM with one BLAS thread, as the median over 40
-    interleaved rounds of guided toca-pixart DDIM generations against no
-    split: splitting at 8 MFLOP made a 4 x 64 model on 12 x 12 tokens, whose
-    largest calls are ~10 MFLOP, 6% slower; at 12 MFLOP an 8 x 128 model on
-    16 x 16 ran at 0.69 of its serial time (0.72 at 16 MFLOP), 4 x 96 on
-    12 x 12 at 0.94 and 4 x 64 on 16 x 16 at 0.82. Only each_half asks.
-    """
-    if flops < _SPLIT_FLOPS:
-        return False
+def two_cpus() -> bool:
+    """Whether the process may run on two CPUs (os.sched_getaffinity; ``taskset`` limits it)."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0)) > 1
     return (os.cpu_count() or 1) > 1
 
 
-def _block_flops(config: ModelConfig, kind: str, rows: int) -> int:
-    """call_flops of ``rows`` query rows, less the key/value projections the caller runs once."""
-    return call_flops(config, kind, rows) - call_flops(config, kind, 0)
+def _fewest_split_rows(config: ModelConfig, batch: int, kind: str) -> int:
+    """The fewest rows per member a module call of ``batch`` members computes to use the worker.
 
+    A pair (batch 2) splits into its halves when one half computes a row and
+    executes _SPLIT_FLOPS (call_flops). A batch-1 call of m rows splits by
+    query rows when its smaller block, m // 2 rows, holds _SPLIT_MIN_ROWS
+    rows and executes _SPLIT_FLOPS: call_flops less the key/value
+    projections, which the caller runs once. call_flops is affine in the
+    rows, so each rule is one row count. Other batches never split.
 
-def _fewest_split_rows(config: ModelConfig, kind: str) -> int:
-    """The fewest rows m whose smaller row block, m // 2 rows, may run alone.
-
-    That block must hold _SPLIT_MIN_ROWS rows and execute _SPLIT_FLOPS
-    (_block_flops, which grows linearly in the rows). The floor keeps the
-    blocks bitwise: on OpenBLAS, the mid MLP's (m, 512) @ (512, 128) on
-    1-15 rows differs in the last bit from those rows of a product on 16 or
-    more, while every shape tested matched from 16 rows up. The head has no
-    row kernel; its N + 1 is more rows than any call computes.
+    A split costs a thread round trip of about 20 us, and the halves share
+    the GIL: the NumPy calls of small modules mostly hold it, so only calls
+    whose matrix products release it for long enough gain. Measured on a
+    2-vCPU VM with one BLAS thread, as the median over 40 interleaved rounds
+    of guided toca-pixart DDIM generations against no split: splitting at
+    8 MFLOP made a 4 x 64 model on 12 x 12 tokens, whose largest calls are
+    ~10 MFLOP, 6% slower; at 12 MFLOP an 8 x 128 model on 16 x 16 ran at 0.69
+    of its serial time (0.72 at 16 MFLOP), 4 x 96 on 12 x 12 at 0.94 and
+    4 x 64 on 16 x 16 at 0.82. The row floor keeps the blocks bitwise: on
+    OpenBLAS, the mid MLP's (m, 512) @ (512, 128) on 1-15 rows differs in the
+    last bit from those rows of a product on 16 or more, while every shape
+    tested matched from 16 rows up. The head has no row kernel; its N + 1 is
+    more rows than any call computes.
     """
+    fixed = call_flops(config, kind, 0)
+    per_row = call_flops(config, kind, 1) - fixed
+    if batch == 2:
+        return max(1, -((fixed - _SPLIT_FLOPS) // per_row))
     if kind == KIND_FINAL:
         return config.n_tokens + 1
-    per_row = _block_flops(config, kind, 1)
     return 2 * max(_SPLIT_MIN_ROWS, -(-_SPLIT_FLOPS // per_row))
 
 
 def each_half(config: ModelConfig, kind: str, rows: int, batch: int, work) -> None:
-    """Run work(h, split) for each member h of a module call computing ``rows`` rows each.
+    """Run work(h) for each member h of a module call computing ``rows`` rows each.
 
-    The one split decision. A pair whose call computes rows and passes
-    split_halves (call_flops) runs work(0, False) here and work(1, False)
-    on the worker (run_halves). A batch-1 call of at least
-    config.split_rows[kind] rows whose smaller row block passes split_halves
-    (_block_flops) runs work(0, True): its attention or MLP kernel runs the
-    second half of its query rows on the worker (_by_rows). Every other
-    call, one that computes no row included, runs here with split False.
-    So a half of a pair never splits its rows, nothing on the worker asks
-    for the worker, and a small batch-1 call pays one integer comparison.
+    The pair mode of the one worker rule: a pair whose call computes at
+    least config.split_rows[2, kind] rows runs work(0) here and work(1) on
+    the worker (run_halves), when the process may use two CPUs. Every other
+    call, one that computes no row included, runs its members here in turn.
+    The row mode belongs to the batch-1 module callable (Model.forward_batch),
+    so a half of a pair never splits its rows and nothing on the worker asks
+    for the worker.
     """
-    if batch == 1:
-        big = rows >= config.split_rows[kind]
-        work(0, big and split_halves(_block_flops(config, kind, rows // 2)))
-    elif batch == 2 and rows > 0 and split_halves(call_flops(config, kind, rows)):
-        run_halves(lambda h: work(h, False))
+    if batch == 2 and rows >= config.split_rows[2, kind] and two_cpus():
+        run_halves(work)
     else:
         for h in range(batch):
-            work(h, False)
+            work(h)
 
 
 def run_halves(work) -> None:
     """Run work(1) on the worker thread while work(0) runs on the caller.
 
     Returns only after both halves have stopped; an error of either half
-    then propagates, half 0's first. The second half of a guided pair
-    computes in the worker's own Workspace, which ``scratch_for`` hands it;
-    a row block writes its rows of buffers the caller took. Callers on
-    several threads share the one worker and queue behind it, and work(1)
-    must not call run_halves itself: the worker would wait on itself.
+    then propagates, half 0's first. Its two callers are the worker rule's
+    two modes: the second half of a guided pair (each_half) computes in the
+    worker's own Workspace, which ``scratch_for`` hands it, and the second
+    row block of a batch-1 call (_by_rows) writes its rows of buffers the
+    caller took. Callers on several threads share the one worker and queue
+    behind it, and work(1) must not call run_halves itself: the worker
+    would wait on itself.
     """
     global _worker
     with _worker_start:  # callers on several threads still start one worker
@@ -490,11 +484,11 @@ def _attend(
     0..H-1. Returns the projected output (m, d), written into ``out`` when
     given, and the head-averaged attention map (m, n), which lives in ``ws``.
 
-    ``split`` (each_half's row mode) projects keys and values here once and
-    runs the query rows as two blocks (_by_rows), each on its own rows of q,
-    the head outputs, the map and the output, and with its own logits stack
-    in its rows of one (m, g * n) buffer: this thread takes every buffer, at
-    the unsplit size.
+    ``split`` (the worker rule's row mode) projects keys and values here
+    once and runs the query rows as two blocks (_by_rows), each on its own
+    rows of q, the head outputs, the map and the output, and with its own
+    logits stack in its rows of one (m, g * n) buffer: this thread takes
+    every buffer, at the unsplit size.
     """
     m, d = xq.shape
     n = kv.shape[0]
@@ -575,7 +569,7 @@ def self_attention_forward(
     output together with the head-averaged attention map (rows = queries,
     columns = tokens). The output goes to ``out`` when given; intermediates,
     and the output otherwise, go to ``ws`` when given. ``split`` runs the
-    query rows as two blocks on two threads (each_half, _attend).
+    query rows as two blocks on two threads (_attend).
     """
     x = linalg.as_matrix(x)
     xq = x if rows is None else _take_rows(x, rows, _buffer(ws, "rows", len(rows), x.shape[1]))
@@ -614,8 +608,8 @@ def mlp_forward(
 ) -> np.ndarray:
     """Token-wise two-layer MLP with a ReLU between the projections, on every row of x.
 
-    ``split`` runs the rows as two blocks on two threads (each_half,
-    _by_rows), each on its own rows of the hidden layer and the output.
+    ``split`` runs the rows as two blocks on two threads (_by_rows), each on
+    its own rows of the hidden layer and the output.
     """
     x = linalg.as_matrix(x)
     m, d = x.shape
@@ -682,7 +676,7 @@ class Model:
         ValueError on row ids. The output goes to ``out`` when given;
         intermediates, and the output otherwise, go to the workspace ``ws``.
         ``split`` runs an attention or MLP kernel's rows as two blocks on two
-        threads (each_half's row mode); the head ignores it.
+        threads (the worker rule's row mode); the head ignores it.
         """
         heads = self.config.heads
         if kind == KIND_SELF:
@@ -733,13 +727,16 @@ class Model:
         context, and one reused buffer per stream without one; nothing else
         keeps them past the residual add.
 
-        each_half decides whether a module call uses the worker thread:
-        without a context here, under one in the context's dispatch. A batch
-        of two may run its second half there while the first runs here; the
-        worker then computes its scratch in its own Workspace and writes only
-        its own stream's rows, output and slot in ``ws``. A large enough
-        batch-1 call may run the second half of its query rows there, into
-        those rows of this thread's buffers. The layer norms and residual
+        One rule, config.split_rows, decides which module calls use the
+        worker thread, in two modes. Pair mode: each_half, called here
+        without a context and from the context's dispatch under one, runs a
+        pair's second half there while the first runs here; the worker then
+        computes its scratch in its own Workspace and writes only its own
+        stream's rows, output and slot in ``ws``. Row mode: the module
+        callable of a batch-1 forward runs a call of at least
+        split_rows[1, kind] query rows as two row blocks, the second there,
+        into its rows of this thread's buffers. A cache context sees neither
+        mode: it calls fns[h](x, rows=None). The layer norms and residual
         adds stay on this thread, so no output bit depends on the worker.
 
         Under a context, each dispatch gets the raw residual streams, and its
@@ -787,9 +784,12 @@ class Model:
             # A full call computes into this site's slot buffer, which the
             # context keeps, or the stream's output; row subsets go to scratch.
             full = outputs[h] if cache_ctx is None else ws.take(("slot", layer, kind, h), n, d)
+            # the row mode: a half of a pair never splits its rows
+            fewest = cfg.split_rows[1, kind] if len(xs) == 1 else n + 1
 
-            def fn(x, rows=None, split=False):
+            def fn(x, rows=None):
                 scratch = scratch_for(ws)
+                split = (n if rows is None else len(rows)) >= fewest and two_cpus()
                 out = full if rows is None else None
                 if rows is not None and kind != KIND_SELF:
                     # the computed rows go straight to this stream's normed
@@ -807,7 +807,7 @@ class Model:
             fns = [module(layer, kind, h) for h in halves]
             if cache_ctx is not None:
                 return cache_ctx.dispatch(layer, kind, streams, fns)
-            each_half(cfg, kind, n, len(xs), lambda h, split: fns[h](streams[h], split=split))
+            each_half(cfg, kind, n, len(xs), lambda h: fns[h](streams[h]))
             return outputs
 
         for layer, kind in cfg.sites:

@@ -175,11 +175,10 @@ def run_generation(
     is passed to every Model.forward_batch call: it sees the live per-half
     residual streams right before every module, head included, and may edit
     them. They are reused buffers, so it copies what it keeps. One Workspace
-    serves every step, so steps reuse the forward's buffers. Module calls
-    that model.each_half finds large enough use the model's worker thread:
-    under guidance it runs the conditional half, without guidance half of a
-    call's query rows (see Model.forward_batch). The blend and the sampler
-    step stay on this thread, and hooks run here too.
+    serves every step, so steps reuse the forward's buffers. The model
+    decides which of its module calls use its worker thread (see
+    Model.forward_batch). The blend and the sampler step stay on this
+    thread, and hooks run here too.
     """
     if sampler not in SAMPLERS:
         raise ValueError(f"sampler must be one of {SAMPLERS}")

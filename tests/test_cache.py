@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import re
 
 import numpy as np
@@ -622,6 +623,53 @@ def test_dispatch_outside_the_model_sites_rejected(site):
     with pytest.raises(ValueError, match=re.escape(str(site))):
         ctx.dispatch(*site, [None], [lambda x, rows=None: (np.zeros((4, 8)), None)])
     assert ctx.mask_log == [] and ctx.stores[0].values == {}
+
+
+def test_a_batch_one_dispatch_past_the_row_split_calls_fn_x_rows(monkeypatch):
+    """How a module call runs is the model's affair: dispatch calls fn(x, rows=None).
+
+    A 16 x 16, hidden-128 model's calls are large enough for the model's
+    batch-1 row split; with two CPUs allowed, the context still calls a
+    plain callable, at a fresh step and at a partial one.
+    """
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    config = ModelConfig(depth=1, hidden=128, heads=8, grid_h=16, grid_w=16)
+    ctx = CacheContext(CacheSchedule(ratio=0.5, cycle=2), config, 2)
+    rng = np.random.default_rng(0)
+    n, seen = config.n_tokens, []
+
+    def fn(x, rows=None):
+        seen.append(None if rows is None else len(rows))
+        if rows is None:
+            return rng.normal(size=(n, 128)), _stochastic_attn(rng, n)
+        return rng.normal(size=(len(rows), 128)), None
+
+    for step in range(2):
+        ctx.begin_step(step)
+        ctx.dispatch(0, KIND_SELF, [None], [fn])
+    assert seen == [None, n // 2]
+    assert n // 2 >= config.split_rows[1, KIND_SELF]  # the partial call is past the split
+
+
+def test_a_batch_one_run_calls_its_module_callables_without_keywords(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    config = ModelConfig(depth=1, hidden=128, heads=8, grid_h=16, grid_w=16)
+    model, cond = init_model(config, seed=1), Conditioning.random_class(config, 2)
+    dispatch, calls = CacheContext.dispatch, []
+
+    def positional(fn):
+        def call(*args, **kwargs):
+            calls.append((len(args), *kwargs))
+            return fn(*args, **kwargs)
+
+        return call
+
+    def checked(ctx, layer, kind, xs, fns):
+        return dispatch(ctx, layer, kind, xs, [positional(fn) for fn in fns])
+
+    monkeypatch.setattr(CacheContext, "dispatch", checked)
+    run_generation(model, cond, NoiseSchedule.linear(4), neutral(ratio=0.5, cycle=2))
+    assert set(calls) == {(1,), (2,)}  # fn(x) and fn(x, rows), never a keyword
 
 
 # -- slots as module outputs through the model --------------------------------

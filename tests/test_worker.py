@@ -1,10 +1,11 @@
 """The worker thread that runs the second half of a guided call or of a batch-1 call's rows.
 
-Every test forces the split on or off through model.split_halves, the size
-and CPU rule that model.each_half consults, so a runner with a single CPU
-still runs the threaded path. Batch-1 calls also need config.split_rows,
-which a test lowers to the row floor by building its model config after
-setting model._SPLIT_FLOPS to 0.
+One rule decides both: config.split_rows, the fewest rows a call computes,
+and model.two_cpus, the CPU check. A test forces the check on or off, so a
+runner with a single CPU still runs the threaded path, and lowers the memo
+to its floors by setting model._SPLIT_FLOPS to 0 before a config first reads
+it: a pair then splits any call that computes a row, a batch-1 call any of
+2 * _SPLIT_MIN_ROWS rows.
 """
 
 import concurrent.futures
@@ -33,15 +34,15 @@ from toca import (
     init_model,
     run_generation,
 )
-from toca.model import KIND_CROSS, KIND_FINAL, KIND_MLP, KIND_SELF
+from toca.model import KIND_CROSS, KIND_FINAL, KIND_MLP, KIND_SELF, KINDS
 
 STEPS = 10
-# the real decision function, kept before any test patches it
-split_halves = tm.split_halves
 
 
 def _force(monkeypatch, on: bool):
-    monkeypatch.setattr(tm, "split_halves", lambda flops: on)
+    """The CPU check forced, and _SPLIT_FLOPS 0 for every memo read from here on."""
+    monkeypatch.setattr(tm, "two_cpus", lambda: on)
+    monkeypatch.setattr(tm, "_SPLIT_FLOPS", 0)
 
 
 def _toy(text: bool, grid: int = 4):
@@ -53,10 +54,10 @@ def _toy(text: bool, grid: int = 4):
 
 
 def _rows_split(monkeypatch, text: bool):
-    """A toy model whose full calls (64 rows) split by rows wherever split_halves allows."""
+    """A toy model whose full calls (64 rows) split by rows wherever two_cpus allows."""
     monkeypatch.setattr(tm, "_SPLIT_FLOPS", 0)
     model, cond = _toy(text, grid=8)
-    assert model.config.split_rows[KIND_MLP] == 2 * tm._SPLIT_MIN_ROWS
+    assert model.config.split_rows[1, KIND_MLP] == 2 * tm._SPLIT_MIN_ROWS
     return model, cond
 
 
@@ -244,20 +245,18 @@ def test_concurrent_batch_one_runs_queue_behind_one_worker(monkeypatch):
 
 def test_calls_below_the_size_rule_never_start_the_worker(monkeypatch):
     monkeypatch.setattr(tm, "_worker", None)
-    _force(monkeypatch, True)
+    monkeypatch.setattr(tm, "two_cpus", lambda: True)  # the real _SPLIT_FLOPS
 
     def batch_one_runs(model, cond):
         for profile in ("off", "toca-pixart"):
             _generate(model, cond, profile, guidance=None)
 
     batch_one_runs(*_toy(text=True, grid=8))  # 64-row calls: below _SPLIT_FLOPS
-    monkeypatch.setattr(tm, "split_halves", split_halves)
     model, cond = _toy(text=True)
     _generate(model, cond)  # guided pairs below _SPLIT_FLOPS
     _generate(model, cond, profile="off")
     assert tm._worker is None
     _force(monkeypatch, True)
-    monkeypatch.setattr(tm, "_SPLIT_FLOPS", 0)
     batch_one_runs(*_toy(text=True))  # 16-row calls: below the row floor
     assert tm._worker is None
     batch_one_runs(*_toy(text=True, grid=8))  # at the floor, and past the FLOPs: it splits
@@ -266,48 +265,81 @@ def test_calls_below_the_size_rule_never_start_the_worker(monkeypatch):
 
 
 def test_split_rows_are_the_fewest_that_hold_the_floor_and_the_flops():
-    for c in (
-        ModelConfig(depth=8, hidden=128, heads=8, grid_h=16, grid_w=16, text_tokens=16),
-        ModelConfig(depth=4, hidden=32, heads=4, grid_h=8, grid_w=8),
+    sizes = [(4, 32, 4, 8), (8, 128, 8, 16), (12, 256, 8, 32)]  # toy, mid, big
+    configs = [ModelConfig(*size, size[3], text) for size in sizes for text in (0, 16)] + [
+        ModelConfig(depth=4, hidden=64, heads=4, grid_h=12, grid_w=12),
+        ModelConfig(depth=4, hidden=96, heads=4, grid_h=12, grid_w=12),
+        ModelConfig(depth=4, hidden=64, heads=4, grid_h=16, grid_w=16),
         ModelConfig(depth=2, hidden=512, heads=8, grid_h=8, grid_w=8, text_tokens=4),
-    ):
-        def passes(kind, m):
-            block = m // 2
-            flops = tm._block_flops(c, kind, block)
-            return block >= tm._SPLIT_MIN_ROWS and flops >= tm._SPLIT_FLOPS
-
-        for kind in (KIND_SELF, KIND_CROSS, KIND_MLP):
-            m = c.split_rows[kind]
-            assert passes(kind, m) and not passes(kind, m - 1)
-        assert c.split_rows[KIND_FINAL] > c.n_tokens  # the head never splits
+    ]
+    for c in configs:
+        for kind in KINDS:
+            for rows in range(c.n_tokens + 1):
+                pair = rows >= 1 and tm.call_flops(c, kind, rows) >= tm._SPLIT_FLOPS
+                assert (rows >= c.split_rows[2, kind]) == pair, (c, kind, rows)
+                if kind != KIND_FINAL:  # a row block's FLOPs leave out the K/V projections
+                    block = rows // 2
+                    flops = tm.call_flops(c, kind, block) - tm.call_flops(c, kind, 0)
+                    fits = block >= tm._SPLIT_MIN_ROWS and flops >= tm._SPLIT_FLOPS
+                    assert (rows >= c.split_rows[1, kind]) == fits, (c, kind, rows)
+        assert c.split_rows[1, KIND_FINAL] > c.n_tokens  # the head never splits its rows
     mid = ModelConfig(depth=8, hidden=128, heads=8, grid_h=16, grid_w=16)
-    assert (mid.split_rows[KIND_SELF], mid.split_rows[KIND_MLP]) == (118, 92)
+    assert (mid.split_rows[1, KIND_SELF], mid.split_rows[1, KIND_MLP]) == (118, 92)
+
+
+class _OneSite:
+    """A batch-1 context stand-in that calls one site's module on its first ``rows`` rows."""
+
+    batch = 1
+
+    def __init__(self, kind, rows):
+        self.kind, self.rows = kind, rows
+
+    def dispatch(self, layer, kind, xs, fns):
+        if kind == self.kind:
+            rows = None if self.rows == xs[0].shape[0] else np.arange(self.rows)
+            fns[0](xs[0], rows)
+        return [np.zeros_like(xs[0])]
 
 
 def test_a_batch_one_call_splits_its_rows_from_the_memo_up(monkeypatch):
-    c = ModelConfig(depth=8, hidden=128, heads=8, grid_h=16, grid_w=16)
-    asked = []
-    monkeypatch.setattr(tm, "split_halves", lambda flops: asked.append(flops) or True)
-    cases = [(k, c.split_rows[k] + d, d == 0) for k in (KIND_SELF, KIND_MLP) for d in (-1, 0)]
-    for kind, rows, want in cases + [(KIND_MLP, 0, False), (KIND_FINAL, c.n_tokens, False)]:
-        got = []
-        tm.each_half(c, kind, rows, 1, lambda h, split: got.append((h, split)))
-        assert got == [(0, want)]
-    # only calls past the memo ask split_halves, about one row block
-    assert asked == [tm._block_flops(c, KIND_SELF, 59), tm._block_flops(c, KIND_MLP, 46)]
+    c = ModelConfig(depth=1, hidden=128, heads=8, grid_h=16, grid_w=16)
+    model, cond = init_model(c, seed=1), Conditioning.random_class(c, 1)
+    x = tm.FeatureMatrix(np.zeros((c.n_tokens, c.hidden)), c.grid)
+    asked, splits = [], []
+    monkeypatch.setattr(tm, "two_cpus", lambda: asked.append(1) or True)
+    by_rows = tm._by_rows
+    monkeypatch.setattr(
+        tm, "_by_rows", lambda split, *args: splits.append(split) or by_rows(False, *args)
+    )
+    cases = [(k, c.split_rows[1, k] + d, [d == 0]) for k in (KIND_SELF, KIND_MLP) for d in (-1, 0)]
+    for kind, rows, want in cases + [(KIND_FINAL, c.n_tokens, [])]:
+        splits.clear()
+        model.forward_batch([x], 1.0, [cond], cache_ctx=_OneSite(kind, rows))
+        assert splits == want, (kind, rows)
+    assert len(asked) == 2  # only the calls at the memo ask for two CPUs
 
 
 def test_split_needs_the_size_and_two_cpus(monkeypatch):
-    big = tm._SPLIT_FLOPS
+    c = ModelConfig(depth=8, hidden=128, heads=8, grid_h=16, grid_w=16)
+    trips = []
+    monkeypatch.setattr(tm, "run_halves", lambda work: trips.append(1))
+
+    def splits(rows):
+        trips.clear()
+        tm.each_half(c, KIND_MLP, rows, 2, lambda h: None)
+        return bool(trips)
+
+    big = c.split_rows[2, KIND_MLP]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    assert split_halves(big) and not split_halves(big - 1)
+    assert splits(big) and not splits(big - 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
-    assert not split_halves(10 * big)
+    assert not splits(c.n_tokens)
     monkeypatch.delattr(os, "sched_getaffinity")  # no affinity API: count the CPUs
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert split_halves(big)
+    assert splits(big)
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    assert not split_halves(10 * big)
+    assert not splits(c.n_tokens)
 
 
 def test_worker_starts_off_the_callers_cpu(monkeypatch):
