@@ -69,10 +69,6 @@ def write_csv(path: str, header: list[str], rows, cfg_hash: str) -> None:
     atomic_write_text(path, buf.getvalue())
 
 
-def write_pgm(path: str, pgm_bytes: bytes) -> None:
-    atomic_write_bytes(path, pgm_bytes)
-
-
 def write_feature_grid(path: str, features: FeatureMatrix, cfg_hash: str) -> None:
     """Raw float32 little-endian dump with a one-line ASCII header.
 

@@ -393,12 +393,12 @@ def select_compute_set(scores, r_eff: float) -> ComputeMask:
 
 
 def cached_layer_apply(fn, x: np.ndarray, mask: ComputeMask, slot_values: np.ndarray):
-    """Splice freshly computed rows into the cache slot, which is the module output.
+    """Splice freshly computed rows into the cache slot.
 
     fn(x, rows) evaluates the module for the given query rows of the raw
     residual stream x, normalising what the module reads itself, and returns
-    (rows_out, map or None); the map is dropped. The fresh rows overwrite
-    their rows of the slot in place; a mask that computes nothing leaves the
+    (rows_out, map or None); the map is dropped. The fresh rows are copied
+    into their rows of the slot; a mask that computes nothing leaves the
     slot as it is.
     """
     if slot_values is None:
@@ -416,9 +416,9 @@ def cache_update(counters: np.ndarray, mask: ComputeMask) -> None:
 class CacheStore:
     """Per-sample cache state: slots, counters and score aggregates.
 
-    A slot is the output of the module's last full computation, kept without
-    a copy; partial dispatches overwrite their computed rows in place, and
-    every dispatch hands the slot itself to the model as the module output.
+    A site's (N, hidden) slot and counters live as long as the context;
+    dispatches copy module outputs, or their computed rows, into the slot and
+    hand the slot itself to the model as the module output.
     """
 
     def __init__(self) -> None:
@@ -506,12 +506,12 @@ class CacheContext:
         it. Every dispatch caches its plan event's floor(r_eff * N)
         lowest-scoring tokens and computes the rest; fresh steps have
         r_eff = 0, and coupled guidance halves share the mask of their summed
-        scores. A dispatch that caches nothing keeps the module's output
-        itself as the slot, without a copy, so a full call must return an
-        array that nothing else writes; it also refreshes the score
-        aggregates from the map. Any other splices fresh rows into the slot
-        and ages the cached ones. Returns the per-half slots, which are the
-        module outputs until the next dispatch of the same (layer, kind).
+        scores. A site's first dispatch must cache nothing; it makes the
+        site's slots and counters here, on the calling thread. A dispatch
+        that caches nothing copies each module output into its slot, zeroes
+        the counters and refreshes the score aggregates from the map; any
+        other splices fresh rows into the slot and ages the cached ones.
+        Returns the slots, the module outputs until the site's next dispatch.
 
         Once the masks are chosen, model.each_half serves the halves, given
         the rows each computes: it may run half 1's share on the model's
@@ -526,8 +526,12 @@ class CacheContext:
         event = self.plan[self.step].get(key)
         if event is None:
             raise ValueError(f"dispatch for site {key}, which the model does not have")
-        if event.cached and any(key not in store.values for store in self.stores):
-            raise RuntimeError(f"dispatch for {key} before any fresh step")
+        if key not in self.stores[0].values:  # made here: the worker's malloc arena would keep it
+            if event.cached:
+                raise RuntimeError(f"dispatch for {key} before any fresh step")
+            for store in self.stores:
+                store.values[key] = np.empty((self.config.n_tokens, self.config.hidden))
+                store.counters[key] = np.zeros(self.config.n_tokens, dtype=np.int64)
 
         if event.cached and event.computed:
             scores = [
@@ -557,14 +561,15 @@ class CacheContext:
     def _serve(self, h: int, layer: int, kind: str, x, fn, mask: ComputeMask) -> None:
         """Half h's share of a dispatch: its module call fn(x, rows=None), splice and bookkeeping.
 
-        Touches only half h's store and row of cache_counts, so the two
-        halves of a pair may run on two threads.
+        Touches only half h's store and row of cache_counts, so a pair's halves
+        may run on two threads; fn's output is copied at once, so it may be scratch.
         """
         store = self.stores[h]
         key = (layer, kind)
         if mask is self._compute_all:  # n_cache == 0: compute every token
-            store.values[key], attn = fn(x)
-            store.counters[key] = np.zeros(self.cache_counts.shape[1], dtype=np.int64)
+            out, attn = fn(x)
+            np.copyto(store.values[key], out)
+            store.counters[key].fill(0)
             if kind == KIND_SELF:
                 store.attn_influence[layer] = score_s1(attn)
             elif kind == KIND_CROSS:

@@ -28,7 +28,7 @@ from .analysis import (
     measure_error_propagation,
     measure_temporal_redundancy,
 )
-from .artifacts import write_csv, write_feature_grid, write_json, write_pgm
+from .artifacts import atomic_write_bytes, write_csv, write_feature_grid, write_json
 from .config import (
     ConfigError,
     PROFILE_NAMES,
@@ -142,7 +142,7 @@ def cmd_sample(args) -> int:
         fmap = FrequencyMap(np.zeros(rc.model.grid, dtype=np.int64))
     else:
         fmap = build_cache_frequency_map(stats, rc.model.grid)
-    write_pgm(os.path.join(out, "cache_map.pgm"), fmap.to_pgm(comment=f"config {h}"))
+    atomic_write_bytes(os.path.join(out, "cache_map.pgm"), fmap.to_pgm(comment=f"config {h}"))
 
     print(f"wrote x0.bin stats.json dispatch.csv cache_map.pgm to {out}/ (config {h})")
     print(f"steps {stats.total_steps}, fresh {len(stats.fresh_steps)}, "

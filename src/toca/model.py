@@ -722,17 +722,18 @@ class Model:
 
         Every intermediate lives in ``ws``; pass the same workspace on every
         step of a trajectory so steps reuse its buffers (a new one is made
-        per call otherwise). One module callable per (site, half) serves
-        both forwards: its full call writes the context's cache slot under a
-        context, and one reused buffer per stream without one; nothing else
-        keeps them past the residual add.
+        per call otherwise). It holds only buffers that die with one
+        forward, so contexts may share one. Without a context, each stream's
+        module output has its own buffer, added after every stream has run;
+        under one, a module call writes its thread's scratch, which the
+        context copies into the slot it owns.
 
         One rule, config.split_rows, decides which module calls use the
         worker thread, in two modes. Pair mode: each_half, called here
         without a context and from the context's dispatch under one, runs a
         pair's second half there while the first runs here; the worker then
-        computes its scratch in its own Workspace and writes only its own
-        stream's rows, output and slot in ``ws``. Row mode: the module
+        computes in its own Workspace and writes in ``ws`` only its own
+        stream's normed rows and, without a context, output. Row mode: the module
         callable of a batch-1 forward runs a call of at least
         split_rows[1, kind] query rows as two row blocks, the second there,
         into its rows of this thread's buffers. A cache context sees neither
@@ -776,21 +777,19 @@ class Model:
         streams, normed = per_stream("stream"), per_stream("normed")
         for h in halves:
             self.input_stream(xs[h], t, conds[h], out=streams[h])
-        # every output is added only after all streams have run, so each
-        # stream of an uncached forward needs its own output buffer
+        # every output is added only after all streams have run, so each stream
+        # of an uncached forward needs its own output buffer; a cached one's
+        # modules write their thread's scratch, which the context copies out
         outputs = per_stream("out") if cache_ctx is None else None
 
         def module(layer, kind, h):
-            # A full call computes into this site's slot buffer, which the
-            # context keeps, or the stream's output; row subsets go to scratch.
-            full = outputs[h] if cache_ctx is None else ws.take(("slot", layer, kind, h), n, d)
+            out = None if outputs is None else outputs[h]
             # the row mode: a half of a pair never splits its rows
             fewest = cfg.split_rows[1, kind] if len(xs) == 1 else n + 1
 
             def fn(x, rows=None):
                 scratch = scratch_for(ws)
                 split = (n if rows is None else len(rows)) >= fewest and two_cpus()
-                out = full if rows is None else None
                 if rows is not None and kind != KIND_SELF:
                     # the computed rows go straight to this stream's normed
                     # rows, are normalised there, and are all the module sees

@@ -697,19 +697,23 @@ def test_cached_forward_output_survives_later_steps():
         assert np.array_equal(out.values, values)
 
 
-def test_coupled_guided_batch_matches_single_streams():
+def _coupled_pair_matches_single_streams(shared: bool) -> list:
     """Each half keeps its own slots: half 1 never writes over half 0's outputs.
 
     All-zero scores make every context cache the same lowest-index tokens, so
     the coupled pair and two single-stream runs select identical masks.
+    ``shared`` runs all three contexts through one Workspace. Returns the
+    pair's outputs of every step.
     """
     c, model, conds = _guided_text_model()
     sched = neutral(ratio=0.5, cycle=3, lam1=0.0, lam2=0.0, lam3=0.0, lam4=0.0, cfg_coupled=True)
     total = 6
     pair = CacheContext(sched, c, total, batch=2, record_masks=True)
     singles = [CacheContext(sched, c, total) for _ in conds]
-    ws_pair, ws_singles = Workspace(), [Workspace() for _ in conds]
+    ws_pair = Workspace()
+    ws_singles = [ws_pair if shared else Workspace() for _ in conds]
     rng = np.random.default_rng(9)
+    outs = []
     for step in range(total):
         x = FeatureMatrix(rng.normal(size=(9, 8)), c.grid)
         t = float(total - step)
@@ -719,7 +723,57 @@ def test_coupled_guided_batch_matches_single_streams():
             ctx.begin_step(step)
             single = model.forward(x, t, conds[h], cache_ctx=ctx, ws=ws)
             assert np.array_equal(both[h].values, single.values)
+        outs.append([o.values for o in both])
     assert sum(0 < len(idx[0]) < 9 for *_, idx in pair.mask_log) > 0  # partial dispatches ran
+    return outs
+
+
+def test_coupled_guided_batch_matches_single_streams():
+    _coupled_pair_matches_single_streams(shared=False)
+
+
+def test_coupled_guided_batch_matches_single_streams_in_one_workspace():
+    """A Workspace holds one forward's buffers: contexts that share one keep their own slots.
+
+    Contexts that wrote over each other's slots would still agree with each
+    other, so the shared run is also held to the run with separate Workspaces.
+    """
+    got = _coupled_pair_matches_single_streams(shared=True)
+    want = _coupled_pair_matches_single_streams(shared=False)
+    assert np.array_equal(got, want)
+
+
+def test_interleaved_contexts_sharing_a_workspace_keep_their_own_outputs():
+    """Two batch-1 runs, stepped in turn through one Workspace, match separate Workspaces.
+
+    naive-full reuses every token between fresh steps, so each reuse step
+    returns exactly what its own context cached at its last fresh step.
+    """
+    c = ModelConfig(depth=2, hidden=16, heads=2, grid_h=4, grid_w=4)
+    model = init_model(c, seed=3)
+    conds = [Conditioning.random_class(c, seed) for seed in (1, 2)]
+    total = 6
+    rng = np.random.default_rng(8)
+    xs = [[FeatureMatrix(rng.normal(size=(16, 16)), c.grid) for _ in conds] for _ in range(total)]
+
+    def run(workspaces):
+        ctxs = [CacheContext(PROFILES["naive-full"], c, total) for _ in conds]
+        outs = [[] for _ in conds]
+        for step in range(total):
+            for i, (ctx, ws) in enumerate(zip(ctxs, workspaces)):
+                ctx.begin_step(step)
+                t = float(total - step)
+                outs[i].append(model.forward(xs[step][i], t, conds[i], cache_ctx=ctx, ws=ws))
+        return [[o.values for o in run_outs] for run_outs in outs]
+
+    assert cycle_plan(PROFILES["naive-full"], total) == [0, 3]
+    shared = Workspace()
+    got = run([shared, shared])
+    want = run([Workspace(), Workspace()])
+    for i in range(len(conds)):
+        for step in range(total):
+            assert np.array_equal(got[i][step], want[i][step]), (i, step)
+    assert not np.array_equal(want[0][1], want[1][1])  # the two runs' outputs differ
 
 
 # -- the dispatch plan ----------------------------------------------------------

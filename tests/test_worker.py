@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 import toca.model as tm
+import toca.sampler
 from toca import (
     PROFILES,
     CacheContext,
@@ -172,6 +173,45 @@ def test_worker_runs_half_one_on_its_own_thread_and_scratch(monkeypatch):
     (half0,), (half1,) = seen[False], seen[True]  # one thread and one scratch per half
     assert half0[0] == threading.get_ident()
     assert half1[0] != half0[0] and half1[1] != half0[1]
+
+
+class _CallerOnly(dict):
+    """A store table that only the calling (main) thread may add to or rebind."""
+
+    def __setitem__(self, key, value):
+        assert threading.current_thread() is threading.main_thread(), key
+        super().__setitem__(key, value)
+
+
+def test_cache_state_is_made_once_on_the_caller(monkeypatch):
+    _force(monkeypatch, True)
+    model, cond = _toy(text=True)
+    made = []
+
+    class Recorded(CacheContext):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+            for store in self.stores:
+                store.values, store.counters = _CallerOnly(), _CallerOnly()
+
+    def tables(ctx):
+        return [(dict(store.values), dict(store.counters)) for store in ctx.stores]
+
+    seen = {}  # step -> every store's tables after the step's forward
+
+    def hook(step, *_):
+        seen[step] = tables(made[0])
+
+    monkeypatch.setattr(toca.sampler, "CacheContext", Recorded)
+    trips, real = [], tm.run_halves
+    monkeypatch.setattr(tm, "run_halves", lambda work: trips.append(1) or real(work))
+    _, stats = _generate(model, cond, step_hook=hook)
+    assert trips and len(made) == 1 and len(stats.fresh_steps) > 1
+    sites = set(model.config.sites)
+    for (values0, counters0), (values, counters) in zip(seen[0], seen[STEPS - 1]):
+        assert set(values0) == set(counters0) == sites
+        assert all(values[k] is values0[k] and counters[k] is counters0[k] for k in sites)
 
 
 def test_concurrent_guided_runs_share_one_worker(monkeypatch):
