@@ -19,7 +19,7 @@ import configparser
 import hashlib
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
@@ -52,49 +52,33 @@ ALPHA_BAR_FLOOR = 1e-10
 
 @dataclass
 class RunConfig:
-    """Fully resolved settings for one run."""
+    """Fully resolved settings for one run; the defaults are an empty config file's."""
 
-    model: ModelConfig
-    init_seed: int
-    weights: str | None
-    steps: int
-    sampler: str
-    guidance: float | None
-    seed: int
-    beta_start: float
-    beta_end: float
-    profile: str
-    cache: CacheSchedule
-    analyze_layer: int
-    analyze_kind: str
-    analyze_token: int
-    analyze_sigma: float
-    analyze_mode: str
-    analyze_normalize: bool
-    out_dir: str
+    # a factory: each config memoises its own ModelConfig.split_rows
+    model: ModelConfig = field(
+        default_factory=lambda: ModelConfig(depth=4, hidden=32, heads=4, grid_h=8, grid_w=8)
+    )
+    init_seed: int = 0
+    weights: str | None = None
+    steps: int = 20
+    sampler: str = "ddpm"
+    guidance: float | None = None
+    seed: int = 0
+    beta_start: float = 1e-4
+    beta_end: float = 2e-2
+    profile: str = "off"
+    cache: CacheSchedule = CacheSchedule()
+    analyze_layer: int = 0
+    analyze_kind: str = KIND_SELF
+    analyze_token: int = 0
+    analyze_sigma: float = 0.5
+    analyze_mode: str = "absolute"
+    analyze_normalize: bool = False
+    out_dir: str = "out"
 
 
 def default_config() -> RunConfig:
-    return RunConfig(
-        model=ModelConfig(depth=4, hidden=32, heads=4, grid_h=8, grid_w=8),
-        init_seed=0,
-        weights=None,
-        steps=20,
-        sampler="ddpm",
-        guidance=None,
-        seed=0,
-        beta_start=1e-4,
-        beta_end=2e-2,
-        profile="off",
-        cache=CacheSchedule(),
-        analyze_layer=0,
-        analyze_kind=KIND_SELF,
-        analyze_token=0,
-        analyze_sigma=0.5,
-        analyze_mode="absolute",
-        analyze_normalize=False,
-        out_dir="out",
-    )
+    return RunConfig()
 
 
 def _get(parser, section, key, conv, what):

@@ -234,8 +234,12 @@ class Workspace:
     256 x 16 cross-attention map, or the attention logits and the MLP hidden
     layer, which are never live together. The next take of a name overwrites
     what a view holds, so callers copy what they keep. A workspace is used
-    by one thread at a time: run_generation builds one per run, and the
-    worker thread keeps its own for the second half of a guided pair
+    by one thread at a time: run_generation builds one per run. A forward
+    keeps only each member's residual stream in it; everything else a
+    module call takes (its layer norm, intermediates and output) is the
+    scratch of the thread that runs the call, used up before that thread
+    runs anything else. The worker thread keeps its own workspace, for its
+    whole life, as its scratch for the second half of a guided pair
     (each_half's pair mode). The worker never takes from the caller's
     workspace: in the row mode of a batch-1 module call, its row block
     writes its own rows of buffers that the caller took before the split,
@@ -415,10 +419,8 @@ def scratch_for(ws: Workspace) -> Workspace:
     return _worker_local.__dict__.get("ws", ws)
 
 
-def _buffer(ws: Workspace | None, name, m: int, n: int, out=None) -> np.ndarray:
-    """``out`` if given, else an (m, n) buffer from ``ws``, else a new array."""
-    if out is not None:
-        return out
+def _buffer(ws: Workspace | None, name, m: int, n: int) -> np.ndarray:
+    """An (m, n) buffer from ``ws``, or a new array without one."""
     return np.empty((m, n)) if ws is None else ws.take(name, m, n)
 
 
@@ -430,7 +432,7 @@ def layer_norm_rows(x: np.ndarray, eps: float = 1e-6, out=None, ws=None) -> np.n
     """
     n, d = x.shape
     centred = np.subtract(x, x.sum(axis=1, keepdims=True) / d, out=_buffer(ws, "centred", n, d))
-    out = np.square(centred, out=_buffer(ws, "normed", n, d, out))
+    out = np.square(centred, out=_buffer(ws, "normed", n, d) if out is None else out)
     denom = out.sum(axis=1, keepdims=True) / d
     denom += eps
     np.sqrt(denom, out=denom)
@@ -464,7 +466,7 @@ def _by_rows(split: bool, kernel, rows: tuple, *shared) -> None:
 
 
 def _attend(
-    xq, kv, weights: AttnWeights, heads: int, counter: FlopCounter | None, out=None, ws=None,
+    xq, kv, weights: AttnWeights, heads: int, counter: FlopCounter | None, ws=None,
     split: bool = False,
 ):
     """Multi-head attention of (m, d) query rows against (n, d) key/value rows.
@@ -481,8 +483,8 @@ def _attend(
     or 8 heads of a 256 x 256 self-attention was 3-10% slower than one head
     per group. Outputs are bitwise those of a per-head loop: each head's
     matmuls see the same strided operands, and heads enter the map in order
-    0..H-1. Returns the projected output (m, d), written into ``out`` when
-    given, and the head-averaged attention map (m, n), which lives in ``ws``.
+    0..H-1. Returns the projected output (m, d) and the head-averaged
+    attention map (m, n), both in ``ws`` when given, like every intermediate.
 
     ``split`` (the worker rule's row mode) projects keys and values here
     once and runs the query rows as two blocks (_by_rows), each on its own
@@ -516,7 +518,7 @@ def _attend(
     g = max(1, min(heads, _LOGITS_BUDGET // max(1, m * n)))
     # (m, g * n): a block's rows of it hold the block's own (g * rows, n) stack
     logits = _buffer(ws, "logits", m, g * n)
-    out = _buffer(ws, "out", m, d, out)
+    out = _buffer(ws, "out", m, d)
     rows = (xq, q, out_heads, attn_sum, out, logits)
     _by_rows(split, _attend_rows, rows, k3, v3, weights, g)
     return out, attn_sum
@@ -557,7 +559,6 @@ def self_attention_forward(
     heads: int,
     rows=None,
     counter: FlopCounter | None = None,
-    out=None,
     ws: Workspace | None = None,
     split: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -567,13 +568,13 @@ def self_attention_forward(
     come from the whole stream: the one kernel whose keys span more rows
     than its queries, so the only one that takes row ids. Returns the module
     output together with the head-averaged attention map (rows = queries,
-    columns = tokens). The output goes to ``out`` when given; intermediates,
-    and the output otherwise, go to ``ws`` when given. ``split`` runs the
-    query rows as two blocks on two threads (_attend).
+    columns = tokens). The output, the map and every intermediate go to
+    ``ws`` when given, new arrays otherwise. ``split`` runs the query rows
+    as two blocks on two threads (_attend).
     """
     x = linalg.as_matrix(x)
     xq = x if rows is None else _take_rows(x, rows, _buffer(ws, "rows", len(rows), x.shape[1]))
-    return _attend(xq, x, weights, heads, counter, out, ws, split)
+    return _attend(xq, x, weights, heads, counter, ws, split)
 
 
 def cross_attention_forward(
@@ -582,11 +583,13 @@ def cross_attention_forward(
     weights: AttnWeights,
     heads: int,
     counter: FlopCounter | None = None,
-    out=None,
     ws: Workspace | None = None,
     split: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Attention of every row of x (a partial call's rows only) against text keys/values."""
+    """Attention of every row of x (a partial call's rows only) against text keys/values.
+
+    Buffers and ``split`` as in self_attention_forward.
+    """
     x = linalg.as_matrix(x)
     if text is None:
         raise ValueError("cross-attention needs text tokens")
@@ -595,28 +598,28 @@ def cross_attention_forward(
         raise ValueError("cross-attention needs at least one text token")
     if text.shape[1] != x.shape[1]:
         raise ValueError(f"text hidden size {text.shape[1]} != {x.shape[1]}")
-    return _attend(x, text, weights, heads, counter, out, ws, split)
+    return _attend(x, text, weights, heads, counter, ws, split)
 
 
 def mlp_forward(
     x,
     weights: MlpWeights,
     counter: FlopCounter | None = None,
-    out=None,
     ws: Workspace | None = None,
     split: bool = False,
 ) -> np.ndarray:
     """Token-wise two-layer MLP with a ReLU between the projections, on every row of x.
 
-    ``split`` runs the rows as two blocks on two threads (_by_rows), each on
-    its own rows of the hidden layer and the output.
+    The output and the hidden layer go to ``ws`` when given. ``split`` runs
+    the rows as two blocks on two threads (_by_rows), each on its own rows
+    of the hidden layer and the output.
     """
     x = linalg.as_matrix(x)
     m, d = x.shape
     d2 = weights.w1.shape[1]
     # the hidden layer shares its workspace memory with the attention logits
     h = _buffer(ws, "logits", m, d2)
-    out = _buffer(ws, "out", m, d, out)
+    out = _buffer(ws, "out", m, d)
     _by_rows(split, _mlp_rows, (x, h, out), weights)
     if counter is not None:
         counter.matmul(m, d, d2)
@@ -665,32 +668,29 @@ class Model:
             stream += cond.class_embedding[None, :]
         return stream
 
-    def _apply(
-        self, layer: int, kind: str, cond: Conditioning, h, rows=None, out=None, ws=None,
-        split=False,
-    ):
+    def _apply(self, layer: int, kind: str, cond: Conditioning, h, rows=None, ws=None, split=False):
         """One module on the (normed) stream h: (output, attention map or None).
 
         Only self-attention takes ``rows``, the query rows it computes against
         the full stream; any other kind computes every row of h and raises
-        ValueError on row ids. The output goes to ``out`` when given;
-        intermediates, and the output otherwise, go to the workspace ``ws``.
-        ``split`` runs an attention or MLP kernel's rows as two blocks on two
-        threads (the worker rule's row mode); the head ignores it.
+        ValueError on row ids. The output and every intermediate go to
+        ``ws``, the scratch of the thread that runs the call. ``split`` runs
+        an attention or MLP kernel's rows as two blocks on two threads (the
+        worker rule's row mode); the head ignores it.
         """
         heads = self.config.heads
         if kind == KIND_SELF:
             w = self.groups[layer].self_attn
-            return self_attention_forward(h, w, heads, rows, out=out, ws=ws, split=split)
+            return self_attention_forward(h, w, heads, rows, ws=ws, split=split)
         if rows is not None:
             raise ValueError(f"only self-attention takes row ids, not {kind!r}")
         if kind == KIND_CROSS:
             w = self.groups[layer].cross_attn
-            return cross_attention_forward(h, cond.text, w, heads, out=out, ws=ws, split=split)
+            return cross_attention_forward(h, cond.text, w, heads, ws=ws, split=split)
         if kind == KIND_MLP:
-            return mlp_forward(h, self.groups[layer].mlp, out=out, ws=ws, split=split), None
+            return mlp_forward(h, self.groups[layer].mlp, ws=ws, split=split), None
         if kind == KIND_FINAL:
-            return np.matmul(h, self.out_proj, out=_buffer(ws, "out", *h.shape, out)), None
+            return np.matmul(h, self.out_proj, out=_buffer(ws, "out", *h.shape)), None
         raise ValueError(f"unknown module kind {kind!r}")
 
     def forward(
@@ -720,37 +720,43 @@ class Model:
         Lockstep batching is what lets a cache context coordinate token
         selection across the halves of a guidance pair.
 
-        Every intermediate lives in ``ws``; pass the same workspace on every
-        step of a trajectory so steps reuse its buffers (a new one is made
-        per call otherwise). It holds only buffers that die with one
-        forward, so contexts may share one. Without a context, each stream's
-        module output has its own buffer, added after every stream has run;
-        under one, a module call writes its thread's scratch, which the
-        context copies into the slot it owns.
+        Per member, the forward keeps only its residual stream in ``ws``;
+        pass the same workspace on every step of a trajectory so steps reuse
+        its buffers (a new one is made per call otherwise). Every other
+        buffer a module call touches, its layer norm and output included, is
+        the scratch of the thread that runs it (scratch_for), and the member
+        uses the output before that thread runs anything else: under a
+        context, the context copies it into the slot it owns; without one, a
+        block adds it into the member's stream and the head copies it into
+        the prediction this thread allocated before the call. No buffer of
+        ``ws`` outlives a forward, so contexts may share one.
 
         One rule, config.split_rows, decides which module calls use the
         worker thread, in two modes. Pair mode: each_half, called here
         without a context and from the context's dispatch under one, runs a
-        pair's second half there while the first runs here; the worker then
-        computes in its own Workspace and writes in ``ws`` only its own
-        stream's normed rows and, without a context, output. Row mode: the module
-        callable of a batch-1 forward runs a call of at least
-        split_rows[1, kind] query rows as two row blocks, the second there,
-        into its rows of this thread's buffers. A cache context sees neither
-        mode: it calls fns[h](x, rows=None). The layer norms and residual
-        adds stay on this thread, so no output bit depends on the worker.
+        pair's second half there while the first runs here; half 1's layer
+        norm, module call and output handling then run on the worker, in its
+        own Workspace, and write in ``ws`` only half 1's stream (without a
+        context). Row mode: the module callable of a batch-1 forward runs a
+        call of at least split_rows[1, kind] query rows as two row blocks,
+        the second there, into its rows of this thread's buffers; the layer
+        norm and the output's use stay here. A cache context sees neither
+        mode: it calls fns[h](x, rows=None). Each value is computed by the
+        same arithmetic on either thread, so no output bit depends on the
+        worker.
 
         Under a context, each dispatch gets the raw residual streams, and its
         module callables normalise only the rows the module reads: all N for
         self-attention, whose keys and values span the stream, the computed
         rows for cross-attention and the MLP, none for the head, and none at
         all when the dispatch reuses every token. Only self-attention gets
-        row ids; any other kind runs on the computed rows, gathered into the
-        stream's normed buffer. Row subsets of a layer norm, and of a module
-        call on at least _SPLIT_MIN_ROWS (16) rows, are bitwise those rows of
-        the full call. Fewer rows may differ in the last bit: one row always
-        (NumPy's matrix-vector path), and 2-15 rows where OpenBLAS's product
-        for few rows differs, as at the mid MLP's 512 -> 128 projection.
+        row ids; any other kind runs on the computed rows, gathered into its
+        thread's scratch and normalised there. Row subsets of a layer norm,
+        and of a module call on at least _SPLIT_MIN_ROWS (16) rows, are
+        bitwise those rows of the full call. Fewer rows may differ in the
+        last bit: one row always (NumPy's matrix-vector path), and 2-15 rows
+        where OpenBLAS's product for few rows differs, as at the mid MLP's
+        512 -> 128 projection.
         Without a context every module but the head reads the normed stream.
 
         ``site_hook``, when given, is called as
@@ -770,20 +776,11 @@ class Model:
             ws = Workspace()
         n, d = cfg.n_tokens, cfg.hidden
         halves = range(len(xs))
-
-        def per_stream(name):
-            return [ws.take((name, h), n, d) for h in halves]
-
-        streams, normed = per_stream("stream"), per_stream("normed")
+        streams = [ws.take(("stream", h), n, d) for h in halves]
         for h in halves:
             self.input_stream(xs[h], t, conds[h], out=streams[h])
-        # every output is added only after all streams have run, so each stream
-        # of an uncached forward needs its own output buffer; a cached one's
-        # modules write their thread's scratch, which the context copies out
-        outputs = per_stream("out") if cache_ctx is None else None
 
         def module(layer, kind, h):
-            out = None if outputs is None else outputs[h]
             # the row mode: a half of a pair never splits its rows
             fewest = cfg.split_rows[1, kind] if len(xs) == 1 else n + 1
 
@@ -791,32 +788,34 @@ class Model:
                 scratch = scratch_for(ws)
                 split = (n if rows is None else len(rows)) >= fewest and two_cpus()
                 if rows is not None and kind != KIND_SELF:
-                    # the computed rows go straight to this stream's normed
-                    # rows, are normalised there, and are all the module sees
-                    x, rows = _take_rows(x, rows, normed[h]), None
+                    # the computed rows are gathered into this thread's scratch,
+                    # normalised there, and are all the module sees
+                    x, rows = _take_rows(x, rows, scratch.take("normed", n, d)), None
                     if kind != KIND_FINAL:
                         x = layer_norm_rows(x, out=x, ws=scratch)
                 elif kind != KIND_FINAL:
-                    x = layer_norm_rows(x, out=normed[h], ws=scratch)
-                return self._apply(layer, kind, conds[h], x, rows, out=out, ws=scratch, split=split)
+                    x = layer_norm_rows(x, ws=scratch)
+                return self._apply(layer, kind, conds[h], x, rows, ws=scratch, split=split)
 
             return fn
 
-        def run(layer, kind):
+        def run(layer, kind, use):
+            """use(h, output) for every member h of one module call."""
             fns = [module(layer, kind, h) for h in halves]
             if cache_ctx is not None:
-                return cache_ctx.dispatch(layer, kind, streams, fns)
-            each_half(cfg, kind, n, len(xs), lambda h: fns[h](streams[h]))
-            return outputs
+                for h, out in enumerate(cache_ctx.dispatch(layer, kind, streams, fns)):
+                    use(h, out)
+            else:  # an output is its thread's scratch: used before that thread runs anything else
+                each_half(cfg, kind, n, len(xs), lambda h: use(h, fns[h](streams[h])[0]))
 
         for layer, kind in cfg.sites:
             if site_hook is not None:
                 site_hook(layer, kind, streams)
-            outs = run(layer, kind)
             if kind == KIND_FINAL:
-                return [FeatureMatrix(o.copy(), cfg.grid) for o in outs]
-            for s, o in zip(streams, outs):
-                s += o
+                eps = [np.empty((n, d)) for _ in halves]
+                run(layer, kind, lambda h, out: np.copyto(eps[h], out))
+                return [FeatureMatrix(e, cfg.grid) for e in eps]
+            run(layer, kind, lambda h, out: np.add(streams[h], out, out=streams[h]))
 
 
 def init_model(config: ModelConfig, seed: int, zero_init: bool = False) -> Model:

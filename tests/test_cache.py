@@ -580,6 +580,20 @@ def test_dispatch_that_caches_before_any_fresh_step_rejected(ratio):
         ctx.dispatch(0, "mlp", [None], [lambda x, rows=None: (np.zeros((4, 8)), None)])
 
 
+def test_a_first_dispatch_that_raised_leaves_no_slot_to_serve():
+    ctx = _ctx(neutral(ratio=1.0, cycle=3, lam1=0.0, lam2=0.0, lam4=0.0), total_steps=6)
+
+    def failing(x, rows=None):
+        raise ArithmeticError("module fails")
+
+    ctx.begin_step(0)
+    with pytest.raises(ArithmeticError):
+        ctx.dispatch(0, "mlp", [None], [failing])
+    ctx.begin_step(1)  # reuses every token
+    with pytest.raises(RuntimeError, match="before any fresh step"):
+        ctx.dispatch(0, "mlp", [None], [failing])
+
+
 def test_dispatch_requires_begin_step_in_range():
     ctx = _ctx(neutral(), total_steps=6)
     with pytest.raises(ValueError):

@@ -3,7 +3,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from toca import Conditioning, FeatureMatrix, ModelConfig, init_model, linalg
+from toca import (
+    PROFILES,
+    CacheContext,
+    Conditioning,
+    FeatureMatrix,
+    ModelConfig,
+    init_model,
+    linalg,
+)
 from toca import model as toca_model
 from toca.flops import FLOPS_PER_MAC, SOFTMAX_FLOPS_PER_ELEMENT, FlopCounter
 from toca.model import (
@@ -611,6 +619,37 @@ def test_guided_batch_matches_single_streams_with_reused_workspaces():
         both = model.forward_batch([x, x], t, conds, ws=ws_batch)
         for h, cond in enumerate(conds):
             assert np.array_equal(both[h].values, model.forward(x, t, cond, ws=ws_single).values)
+
+
+class _Recording(Workspace):
+    """A workspace that records every name taken from it."""
+
+    def __init__(self):
+        super().__init__()
+        self.names = set()
+
+    def take(self, name, m, n):
+        self.names.add(name)
+        return super().take(name, m, n)
+
+
+@pytest.mark.parametrize("cached", [False, True])
+@pytest.mark.parametrize("batch", [1, 2])
+def test_a_forward_keeps_only_each_members_stream_in_the_workspace(batch, cached):
+    """Every other buffer of a member is scratch of the thread that runs its module call."""
+    c, model, conds = _text_model()
+    steps = 6
+    ctx = CacheContext(PROFILES["toca-pixart"], c, steps, batch=batch) if cached else None
+    ws = _Recording()
+    rng = np.random.default_rng(2)
+    for step in range(steps):
+        if ctx is not None:
+            ctx.begin_step(step)
+        x = FeatureMatrix(rng.normal(size=(9, 8)), c.grid)
+        model.forward_batch([x] * batch, float(steps - step), conds[-batch:], ctx, ws)
+    assert ctx is None or any(0 < e.cached < c.n_tokens for row in ctx.plan for e in row.values())
+    per_member = {name for name in ws.names if isinstance(name, tuple)}
+    assert per_member == {("stream", h) for h in range(batch)}
 
 
 def test_site_hook_sees_every_stream():

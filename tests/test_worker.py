@@ -164,9 +164,9 @@ def test_worker_runs_half_one_on_its_own_thread_and_scratch(monkeypatch):
     seen = {}
     real = model._apply
 
-    def apply(layer, kind, c, h, rows=None, out=None, ws=None, split=False):
+    def apply(layer, kind, c, h, rows=None, ws=None, split=False):
         seen.setdefault(c is cond, set()).add((threading.get_ident(), id(ws)))
-        return real(layer, kind, c, h, rows, out=out, ws=ws, split=split)
+        return real(layer, kind, c, h, rows, ws=ws, split=split)
 
     monkeypatch.setattr(model, "_apply", apply)
     _generate(model, cond)
@@ -214,11 +214,14 @@ def test_cache_state_is_made_once_on_the_caller(monkeypatch):
         assert all(values[k] is values0[k] and counters[k] is counters0[k] for k in sites)
 
 
-def test_concurrent_guided_runs_share_one_worker(monkeypatch):
+# "off": every member uses its output up in its own half's work, on the worker
+# too, before another caller's half can overwrite the worker's scratch
+@pytest.mark.parametrize("profile", ["toca-pixart", "off"])
+def test_concurrent_guided_runs_share_one_worker(monkeypatch, profile):
     # three callers and the worker on fewer cores, switching threads often
     model, cond = _toy(text=True)
     _force(monkeypatch, False)
-    want = {seed: _record(*_generate(model, cond, seed=seed)) for seed in (1, 2, 3)}
+    want = {seed: _record(*_generate(model, cond, profile, seed=seed)) for seed in (1, 2, 3)}
     _force(monkeypatch, True)
     monkeypatch.setattr(tm, "_worker", None)
 
@@ -235,7 +238,7 @@ def test_concurrent_guided_runs_share_one_worker(monkeypatch):
     got = {}
 
     def run(seed):
-        got[seed] = _record(*_generate(model, cond, seed=seed))
+        got[seed] = _record(*_generate(model, cond, profile, seed=seed))
 
     callers = [threading.Thread(target=run, args=(seed,)) for seed in want]
     interval = sys.getswitchinterval()
@@ -421,14 +424,14 @@ def test_error_in_either_half_leaves_after_both_stop(monkeypatch, bad, cached):
     finished = []
     real = model._apply
 
-    def apply(layer, kind, c, h, rows=None, out=None, ws=None, split=False):
+    def apply(layer, kind, c, h, rows=None, ws=None, split=False):
         if kind == KIND_MLP:
             half = 1 if c is cond else 0
             if half == bad:
                 raise RuntimeError(f"half {half} fails")
             time.sleep(0.05)
             finished.append(half)
-        return real(layer, kind, c, h, rows, out=out, ws=ws, split=split)
+        return real(layer, kind, c, h, rows, ws=ws, split=split)
 
     monkeypatch.setattr(model, "_apply", apply)
     with pytest.raises(RuntimeError, match=f"half {bad} fails"):
