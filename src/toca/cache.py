@@ -507,11 +507,12 @@ class CacheContext:
         lowest-scoring tokens and computes the rest; fresh steps have
         r_eff = 0, and coupled guidance halves share the mask of their summed
         scores. A site's first dispatch must cache nothing; it makes the
-        site's slots and counters here, on the calling thread, and drops them
-        if a module call raises. A dispatch that caches nothing copies each
-        module output into its slot, zeroes the counters and refreshes the
-        score aggregates from the map; any other splices fresh rows into the
-        slot and ages the cached ones.
+        site's slots and counters here, on the calling thread. A dispatch
+        whose module call raises drops them for every half, so the site's
+        next dispatch must again cache nothing. A dispatch that caches
+        nothing copies each module output into its slot, zeroes the counters
+        and refreshes the score aggregates from the map; any other splices
+        fresh rows into the slot and ages the cached ones.
         Returns the slots, the module outputs until the site's next dispatch.
 
         Once the masks are chosen, model.each_half serves the halves, given
@@ -527,8 +528,7 @@ class CacheContext:
         event = self.plan[self.step].get(key)
         if event is None:
             raise ValueError(f"dispatch for site {key}, which the model does not have")
-        made = key not in self.stores[0].values
-        if made:  # made here: the worker's malloc arena would keep it
+        if key not in self.stores[0].values:  # no thread owns it: made here, off the worker's arena
             if event.cached:
                 raise RuntimeError(f"dispatch for {key} before any fresh step")
             for store in self.stores:
@@ -557,10 +557,9 @@ class CacheContext:
                 self.config, kind, event.computed, self.batch,
                 lambda h: self._serve(h, layer, kind, xs[h], fns[h], masks[h]),
             )
-        except BaseException:
-            if made:  # slots no module call filled: a later dispatch must not serve them
-                for store in self.stores:
-                    del store.values[key], store.counters[key]
+        except BaseException:  # slots left unfilled or stale: no later dispatch may serve them
+            for store in self.stores:
+                del store.values[key], store.counters[key]
             raise
         if self.mask_log is not None:
             self.mask_log.append((self.step, layer, kind, [m.compute_idx for m in masks]))

@@ -233,22 +233,26 @@ class Workspace:
     shape of a name shares that memory: a 256 x 256 self-attention map and a
     256 x 16 cross-attention map, or the attention logits and the MLP hidden
     layer, which are never live together. The next take of a name overwrites
-    what a view holds, so callers copy what they keep. A workspace is used
-    by one thread at a time: run_generation builds one per run. A forward
-    keeps only each member's residual stream in it; everything else a
-    module call takes (its layer norm, intermediates and output) is the
-    scratch of the thread that runs the call, used up before that thread
-    runs anything else. The worker thread keeps its own workspace, for its
-    whole life, as its scratch for the second half of a guided pair
-    (each_half's pair mode). The worker never takes from the caller's
-    workspace: in the row mode of a batch-1 module call, its row block
-    writes its own rows of buffers that the caller took before the split,
-    at the size the unsplit call takes.
+    what a view holds, so callers copy what they keep. run_generation builds
+    one per run. No thread owns one; one thread at a time takes from it. A
+    forward keeps each member's residual stream in it, and ``member(h)``
+    holds member h's scratch: the layer norm, intermediates and output of
+    every module call of that member, on whichever thread runs the call. A
+    member's output stays valid until that member's next module call on the
+    same workspace, so no run overwrites another run's scratch.
     """
 
     def __init__(self) -> None:
         self._bufs: dict = {}  # name -> flat buffer
         self._views: dict[tuple, np.ndarray] = {}  # (name, m, n) -> view of it
+        self._members: dict[int, Workspace] = {}  # h -> member h's scratch
+
+    def member(self, h: int) -> Workspace:
+        """Member h's scratch: a child workspace made at the first request and kept."""
+        child = self._members.get(h)
+        if child is None:
+            child = self._members[h] = Workspace()
+        return child
 
     def take(self, name, m: int, n: int) -> np.ndarray:
         view = self._views.get((name, m, n))
@@ -263,11 +267,10 @@ class Workspace:
 
 
 # The one worker thread that runs the second half of a guided pair or of a
-# batch-1 call's query rows (an executor, started on first use under the lock;
-# see run_halves), and its thread-local scratch Workspace
+# batch-1 call's query rows (an executor that owns no buffer, started on first
+# use under the lock; see run_halves)
 _worker = None
 _worker_start = threading.Lock()
-_worker_local = threading.local()
 
 
 def _forget_worker() -> None:
@@ -358,12 +361,12 @@ def run_halves(work) -> None:
 
     Returns only after both halves have stopped; an error of either half
     then propagates, half 0's first. Its two callers are the worker rule's
-    two modes: the second half of a guided pair (each_half) computes in the
-    worker's own Workspace, which ``scratch_for`` hands it, and the second
-    row block of a batch-1 call (_by_rows) writes its rows of buffers the
-    caller took. Callers on several threads share the one worker and queue
-    behind it, and work(1) must not call run_halves itself: the worker
-    would wait on itself.
+    two modes: the second half of a guided pair (each_half) computes in
+    member 1's scratch of the caller's Workspace, and the second row block
+    of a batch-1 call (_by_rows) writes its rows of buffers the caller took.
+    The worker owns no buffer. Callers on several threads share the one
+    worker and queue behind it, and work(1) must not call run_halves itself:
+    the worker would wait on itself.
     """
     global _worker
     with _worker_start:  # callers on several threads still start one worker
@@ -391,7 +394,7 @@ def _current_cpu() -> int | None:
 
 
 def _start_worker(caller_cpu: int | None) -> None:
-    """Worker initializer: its own scratch, and a start off the caller's CPU.
+    """Worker initializer: a start off the caller's CPU; the worker owns no buffer.
 
     On the 2-vCPU VM this was measured on, the kernel often started the
     worker on its creator's CPU and never moved it: both halves then shared
@@ -410,13 +413,6 @@ def _start_worker(caller_cpu: int | None) -> None:
                 os.sched_setaffinity(0, allowed)
         except OSError:  # a placement hint only; the worker runs wherever it is
             pass
-    _worker_local.ws = Workspace()
-
-
-def scratch_for(ws: Workspace) -> Workspace:
-    """The worker thread's own Workspace on the worker, ``ws`` elsewhere."""
-    # the thread's own dict: a getattr miss raises and catches (0.6 us on CPython 3.11)
-    return _worker_local.__dict__.get("ws", ws)
 
 
 def _buffer(ws: Workspace | None, name, m: int, n: int) -> np.ndarray:
@@ -674,7 +670,7 @@ class Model:
         Only self-attention takes ``rows``, the query rows it computes against
         the full stream; any other kind computes every row of h and raises
         ValueError on row ids. The output and every intermediate go to
-        ``ws``, the scratch of the thread that runs the call. ``split`` runs
+        ``ws``, the scratch of the member the call serves. ``split`` runs
         an attention or MLP kernel's rows as two blocks on two threads (the
         worker rule's row mode); the head ignores it.
         """
@@ -720,26 +716,27 @@ class Model:
         Lockstep batching is what lets a cache context coordinate token
         selection across the halves of a guidance pair.
 
-        Per member, the forward keeps only its residual stream in ``ws``;
+        Per member h, the forward keeps only its residual stream in ``ws``;
         pass the same workspace on every step of a trajectory so steps reuse
         its buffers (a new one is made per call otherwise). Every other
-        buffer a module call touches, its layer norm and output included, is
-        the scratch of the thread that runs it (scratch_for), and the member
-        uses the output before that thread runs anything else: under a
-        context, the context copies it into the slot it owns; without one, a
-        block adds it into the member's stream and the head copies it into
-        the prediction this thread allocated before the call. No buffer of
-        ``ws`` outlives a forward, so contexts may share one.
+        buffer a module call of member h touches, its layer norm and output
+        included, is in ``ws.member(h)``, which its module callable binds
+        when it is built, on whichever thread runs the call. The output stays
+        valid until member h's next module call: under a context, the
+        context copies it into the slot it owns; without one, a block adds it
+        into the member's stream and the head copies it into the prediction
+        this thread allocated before the call. No buffer of ``ws`` outlives a
+        forward, so contexts may share one.
 
         One rule, config.split_rows, decides which module calls use the
         worker thread, in two modes. Pair mode: each_half, called here
         without a context and from the context's dispatch under one, runs a
         pair's second half there while the first runs here; half 1's layer
-        norm, module call and output handling then run on the worker, in its
-        own Workspace, and write in ``ws`` only half 1's stream (without a
-        context). Row mode: the module callable of a batch-1 forward runs a
-        call of at least split_rows[1, kind] query rows as two row blocks,
-        the second there, into its rows of this thread's buffers; the layer
+        norm, module call and output handling then run on the worker, in
+        ``ws.member(1)``, and half 1's stream (without a context). Row mode:
+        the module callable of a batch-1 forward runs a call of at least
+        split_rows[1, kind] query rows as two row blocks, the second there,
+        into its rows of member 0's buffers, which this thread took; the layer
         norm and the output's use stay here. A cache context sees neither
         mode: it calls fns[h](x, rows=None). Each value is computed by the
         same arithmetic on either thread, so no output bit depends on the
@@ -751,7 +748,7 @@ class Model:
         rows for cross-attention and the MLP, none for the head, and none at
         all when the dispatch reuses every token. Only self-attention gets
         row ids; any other kind runs on the computed rows, gathered into its
-        thread's scratch and normalised there. Row subsets of a layer norm,
+        member's scratch and normalised there. Row subsets of a layer norm,
         and of a module call on at least _SPLIT_MIN_ROWS (16) rows, are
         bitwise those rows of the full call. Fewer rows may differ in the
         last bit: one row always (NumPy's matrix-vector path), and 2-15 rows
@@ -783,12 +780,12 @@ class Model:
         def module(layer, kind, h):
             # the row mode: a half of a pair never splits its rows
             fewest = cfg.split_rows[1, kind] if len(xs) == 1 else n + 1
+            scratch = ws.member(h)
 
             def fn(x, rows=None):
-                scratch = scratch_for(ws)
                 split = (n if rows is None else len(rows)) >= fewest and two_cpus()
                 if rows is not None and kind != KIND_SELF:
-                    # the computed rows are gathered into this thread's scratch,
+                    # the computed rows are gathered into the member's scratch,
                     # normalised there, and are all the module sees
                     x, rows = _take_rows(x, rows, scratch.take("normed", n, d)), None
                     if kind != KIND_FINAL:
@@ -805,7 +802,7 @@ class Model:
             if cache_ctx is not None:
                 for h, out in enumerate(cache_ctx.dispatch(layer, kind, streams, fns)):
                     use(h, out)
-            else:  # an output is its thread's scratch: used before that thread runs anything else
+            else:  # an output is its member's scratch: used before the member's next call
                 each_half(cfg, kind, n, len(xs), lambda h: use(h, fns[h](streams[h])[0]))
 
         for layer, kind in cfg.sites:

@@ -580,18 +580,33 @@ def test_dispatch_that_caches_before_any_fresh_step_rejected(ratio):
         ctx.dispatch(0, "mlp", [None], [lambda x, rows=None: (np.zeros((4, 8)), None)])
 
 
-def test_a_first_dispatch_that_raised_leaves_no_slot_to_serve():
-    ctx = _ctx(neutral(ratio=1.0, cycle=3, lam1=0.0, lam2=0.0, lam4=0.0), total_steps=6)
+@pytest.mark.parametrize("batch", [1, 2])
+@pytest.mark.parametrize("fails_at", [0, 3])  # the first fresh step, or a later one
+def test_a_first_dispatch_that_raised_leaves_no_slot_to_serve(fails_at, batch):
+    """A fresh dispatch that raises, in any half, drops the site's slots for every half.
+
+    A later cycle's slot would otherwise be served as the previous cycle left it.
+    """
+    sched = neutral(ratio=1.0, cycle=3, lam1=0.0, lam2=0.0, lam4=0.0)
+    ctx = _ctx(sched, total_steps=6, batch=batch)
+    assert ctx.fresh_steps == (0, 3)
+
+    def good(x, rows=None):
+        return np.ones((4, 8)), None
 
     def failing(x, rows=None):
         raise ArithmeticError("module fails")
 
-    ctx.begin_step(0)
-    with pytest.raises(ArithmeticError):
-        ctx.dispatch(0, "mlp", [None], [failing])
-    ctx.begin_step(1)  # reuses every token
+    if fails_at:
+        ctx.begin_step(0)
+        ctx.dispatch(0, "mlp", [None] * batch, [good] * batch)
+    ctx.begin_step(fails_at)
+    with pytest.raises(ArithmeticError):  # only the last half raises: half 0 has written its slot
+        ctx.dispatch(0, "mlp", [None] * batch, [good] * (batch - 1) + [failing])
+    assert all(store.values == store.counters == {} for store in ctx.stores)
+    ctx.begin_step(fails_at + 1)  # reuses every token
     with pytest.raises(RuntimeError, match="before any fresh step"):
-        ctx.dispatch(0, "mlp", [None], [failing])
+        ctx.dispatch(0, "mlp", [None] * batch, [failing] * batch)
 
 
 def test_dispatch_requires_begin_step_in_range():

@@ -1,0 +1,72 @@
+"""The engine against a dense reference: x0, every eps and the cache counts, bitwise.
+
+tests/reference.py recomputes a run with every module on all N rows and a
+plain dict of slots. It shares no buffer, thread or plan with the engine, so
+the two agreeing says the engine serves what the schedule asks for: which
+slot row is served when, how counters age and how guided halves couple.
+"""
+
+import dataclasses
+
+import pytest
+
+import toca.model as tm
+from reference import reference_generation
+from toca import (
+    PROFILES,
+    CacheSchedule,
+    Conditioning,
+    ModelConfig,
+    NoiseSchedule,
+    init_model,
+    run_generation,
+)
+
+STEPS = 20
+SCHEDULES = {
+    **{name: PROFILES[name] for name in ("naive-full", "toca-dit", "toca-pixart", "off")},
+    "uniform": CacheSchedule(ratio=0.7, cycle=3, lam3=0.25, grid_size=2),
+}
+# (text tokens, sampler, guidance, coupled)
+MODES = {
+    "class-ddpm": (0, "ddpm", None, True),
+    "text-ddim-cfg": (6, "ddim", 4.0, True),
+    "text-ddim-cfg-uncoupled": (6, "ddim", 4.0, False),
+    "text-ddpm": (6, "ddpm", None, True),
+}
+CASES = [
+    (schedule, mode, worker)
+    for schedule in SCHEDULES
+    for mode in MODES
+    for worker in (False, True)
+    if not (schedule == "off" and not MODES[mode][3])  # off couples nothing
+]
+
+
+@pytest.mark.parametrize("schedule,mode,worker", CASES)
+def test_engine_equals_the_dense_reference(monkeypatch, schedule, mode, worker):
+    text, sampler, guidance, coupled = MODES[mode]
+    sched = dataclasses.replace(SCHEDULES[schedule], cfg_coupled=coupled)
+    monkeypatch.setattr(tm, "two_cpus", lambda: worker)
+    # 0 before the config first reads split_rows: pairs split, and 64-row calls split by rows
+    monkeypatch.setattr(tm, "_SPLIT_FLOPS", 0)
+    trips, run_halves = [], tm.run_halves
+    monkeypatch.setattr(tm, "run_halves", lambda work: trips.append(1) or run_halves(work))
+    c = ModelConfig(depth=4, hidden=32, heads=4, grid_h=8, grid_w=8, text_tokens=text)
+    model = init_model(c, seed=3)
+    cond = Conditioning.random_text(c, 5) if text else Conditioning.random_class(c, 5)
+    noise = NoiseSchedule.linear(STEPS)
+
+    x0, stats = run_generation(
+        model, cond, noise, sched, seed=11, sampler=sampler, guidance=guidance, collect_eps=True
+    )
+    assert bool(trips) == worker
+    want_x0, want_eps, want_counts = reference_generation(
+        model, cond, noise, sched, 11, sampler, guidance
+    )
+    assert x0.values.tobytes() == want_x0.tobytes()
+    assert [e.tobytes() for e in stats.eps_history] == [e.tobytes() for e in want_eps]
+    if sched.is_noop:
+        assert stats.cache_counts is None and not want_counts.any()
+    else:
+        assert stats.cache_counts.tobytes() == want_counts.tobytes()

@@ -15,6 +15,8 @@ from toca import (
     init_model,
     run_generation,
 )
+from toca.cache import dispatch_plan
+from toca.model import KIND_FINAL
 
 
 def toy():
@@ -272,3 +274,37 @@ def test_runs_of_one_config_share_the_plans_frozen_events():
     assert all(ea is eb for ea, eb in zip(a.events, b.events))
     with pytest.raises(dataclasses.FrozenInstanceError):
         a.events[0].cached = 0
+
+
+def _non_fresh_heads(c):
+    plan = dispatch_plan(PROFILES["toca-pixart"], c, 20)
+    return [row[c.depth, KIND_FINAL] for row in plan if any(e.cached for e in row.values())]
+
+
+def test_toca_pixart_reuses_the_whole_head_on_the_mid_text_model():
+    """flops-share gives the head the MLP's factor, above 1 on a text model: r_eff reaches 1."""
+    heads = _non_fresh_heads(ModelConfig(8, 128, 8, 16, 16, text_tokens=16))  # mid-pixart-cfg
+    assert len(heads) == 10 and all(e.cached == 256 for e in heads)
+    # not on every text model: this one's head computes rows at two cached steps
+    heads = _non_fresh_heads(ModelConfig(4, 32, 4, 8, 8, text_tokens=16))
+    assert len(heads) == 10 and sum(e.cached < 64 for e in heads) == 2
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("sampler,guidance", [("ddim", 4.0), ("ddpm", None)])
+@pytest.mark.parametrize("size", [(2, 16, 2, 4, 4, 2), (4, 32, 4, 8, 8, 6)])
+def test_toca_pixart_on_text_models_is_naive_full_at_cycle_two(size, sampler, guidance, seed):
+    """Each cached step returns the last fresh eps: partial dispatches reach no output."""
+    c = ModelConfig(*size)
+    model, cond = init_model(c, seed=3), Conditioning.random_text(c, seed)
+    runs = [
+        run_generation(
+            model, cond, NoiseSchedule.linear(20), sched, seed=seed, sampler=sampler,
+            guidance=guidance, collect_eps=True,
+        )
+        for sched in (PROFILES["toca-pixart"], dataclasses.replace(PROFILES["naive-full"], cycle=2))
+    ]
+    (x0, stats), (want_x0, want_stats) = runs
+    assert any(0 < e.cached < c.n_tokens for e in stats.events)
+    assert x0.values.tobytes() == want_x0.values.tobytes()
+    assert [e.tobytes() for e in stats.eps_history] == [e.tobytes() for e in want_stats.eps_history]

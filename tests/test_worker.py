@@ -10,6 +10,7 @@ it: a pair then splits any call that computes a row, a batch-1 call any of
 
 import concurrent.futures
 import dataclasses
+import gc
 import os
 import select
 import signal
@@ -17,6 +18,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -159,20 +161,53 @@ def test_dispatches_that_compute_no_row_stay_on_the_caller(monkeypatch):
 
 
 def test_worker_runs_half_one_on_its_own_thread_and_scratch(monkeypatch):
+    """Half h computes in ws.member(h) of the workspace its caller passed, on either thread."""
     _force(monkeypatch, True)
     model, cond = _toy(text=True)
-    seen = {}
+    seen, passed = {}, []
     real = model._apply
 
     def apply(layer, kind, c, h, rows=None, ws=None, split=False):
-        seen.setdefault(c is cond, set()).add((threading.get_ident(), id(ws)))
+        seen.setdefault(c is cond, set()).add((threading.get_ident(), ws))
         return real(layer, kind, c, h, rows, ws=ws, split=split)
 
+    class Passed(Workspace):
+        def __init__(self):
+            super().__init__()
+            passed.append(self)
+
     monkeypatch.setattr(model, "_apply", apply)
+    monkeypatch.setattr(toca.sampler, "Workspace", Passed)
     _generate(model, cond)
     (half0,), (half1,) = seen[False], seen[True]  # one thread and one scratch per half
-    assert half0[0] == threading.get_ident()
-    assert half1[0] != half0[0] and half1[1] != half0[1]
+    assert half0[0] == threading.get_ident() != half1[0]
+    (ws,) = passed
+    assert half0[1] is ws.member(0) and half1[1] is ws.member(1)
+
+
+def test_no_workspace_outlives_a_guided_split_run(monkeypatch):
+    """The worker owns no buffer: after a run, every Workspace made for it is gone."""
+    _force(monkeypatch, True)
+    monkeypatch.setattr(tm, "_worker", None)  # a fresh worker, started by this run
+    made = []
+    init = Workspace.__init__
+
+    def recording_init(self):
+        init(self)
+        made.append(weakref.ref(self))
+
+    monkeypatch.setattr(Workspace, "__init__", recording_init)
+    trips, real = [], tm.run_halves
+    monkeypatch.setattr(tm, "run_halves", lambda work: trips.append(1) or real(work))
+    model, cond = _toy(text=True)
+    try:
+        _generate(model, cond)
+        assert trips and tm._worker is not None and made
+        gc.collect()
+        assert [r for r in made if r() is not None] == []
+    finally:
+        if tm._worker is not None:
+            tm._worker.shutdown()
 
 
 class _CallerOnly(dict):
@@ -215,7 +250,7 @@ def test_cache_state_is_made_once_on_the_caller(monkeypatch):
 
 
 # "off": every member uses its output up in its own half's work, on the worker
-# too, before another caller's half can overwrite the worker's scratch
+# too; each run's halves compute in that run's own member workspaces
 @pytest.mark.parametrize("profile", ["toca-pixart", "off"])
 def test_concurrent_guided_runs_share_one_worker(monkeypatch, profile):
     # three callers and the worker on fewer cores, switching threads often
