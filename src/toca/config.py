@@ -19,7 +19,7 @@ import configparser
 import hashlib
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
@@ -54,10 +54,7 @@ ALPHA_BAR_FLOOR = 1e-10
 class RunConfig:
     """Fully resolved settings for one run; the defaults are an empty config file's."""
 
-    # a factory: each config memoises its own ModelConfig.split_rows
-    model: ModelConfig = field(
-        default_factory=lambda: ModelConfig(depth=4, hidden=32, heads=4, grid_h=8, grid_w=8)
-    )
+    model: ModelConfig = ModelConfig(depth=4, hidden=32, heads=4, grid_h=8, grid_w=8)
     init_seed: int = 0
     weights: str | None = None
     steps: int = 20

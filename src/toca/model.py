@@ -42,11 +42,11 @@ WEIGHTS_MAGIC = "TOCA-W1"
 # float64 logits one group of attention heads may stack (256 KiB); see _attend
 _LOGITS_BUDGET = 32768
 
-# FLOPs one half of a guided module call, or one row block of a batch-1 call,
-# must execute before it runs on the worker thread; see _fewest_split_rows
+# FLOPs the second half of a split must execute to run on the worker thread;
+# see _split_pays
 _SPLIT_FLOPS = 12_000_000
 
-# fewest query rows a row block of a batch-1 call holds; see _fewest_split_rows
+# fewest query rows each row block of a split call holds; see _by_rows
 _SPLIT_MIN_ROWS = 16
 
 
@@ -95,11 +95,6 @@ class ModelConfig:
         """Every (layer, kind) module in forward order; the head is (depth, final)."""
         blocks = tuple((layer, kind) for layer in range(self.depth) for kind in self.group_kinds)
         return blocks + ((self.depth, KIND_FINAL),)
-
-    @cached_property
-    def split_rows(self) -> dict[tuple[int, str], int]:
-        """The worker rule: per (batch, kind), the fewest rows a call needs (_fewest_split_rows)."""
-        return {(b, kind): _fewest_split_rows(self, b, kind) for b in (1, 2) for kind in KINDS}
 
 
 @dataclass
@@ -266,16 +261,15 @@ class Workspace:
         return view
 
 
-# The one worker thread that runs the second half of a guided pair or of a
-# batch-1 call's query rows (an executor that owns no buffer, started on first
-# use under the lock; see run_halves)
+# The one worker thread that runs the second half of a split (an executor that
+# owns no buffer), and the lock a split holds while it uses it; see run_halves
 _worker = None
-_worker_start = threading.Lock()
+_worker_lock = threading.Lock()
 
 
 def _forget_worker() -> None:
-    global _worker, _worker_start
-    _worker, _worker_start = None, threading.Lock()
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
 
 
 # a forked child has no worker thread; its first split starts a new one
@@ -305,15 +299,15 @@ def two_cpus() -> bool:
     return (os.cpu_count() or 1) > 1
 
 
-def _fewest_split_rows(config: ModelConfig, batch: int, kind: str) -> int:
-    """The fewest rows per member a module call of ``batch`` members computes to use the worker.
+def _split_pays(flops: int) -> bool:
+    """The worker rule: may a split whose second half executes ``flops`` use the worker?
 
-    A pair (batch 2) splits into its halves when one half computes a row and
-    executes _SPLIT_FLOPS (call_flops). A batch-1 call of m rows splits by
-    query rows when its smaller block, m // 2 rows, holds _SPLIT_MIN_ROWS
-    rows and executes _SPLIT_FLOPS: call_flops less the key/value
-    projections, which the caller runs once. call_flops is affine in the
-    rows, so each rule is one row count. Other batches never split.
+    Yes when that half executes at least _SPLIT_FLOPS, no other split holds
+    the worker (_worker_lock), and the process may use two CPUs. So a half of
+    a split never splits again, on either thread. The rule has two modes: a
+    guided pair splits into its halves (each_half), and a call splits its
+    query rows into two blocks (_by_rows). Both are evaluated where the split
+    happens.
 
     A split costs a thread round trip of about 20 us, and the halves share
     the GIL: the NumPy calls of small modules mostly hold it, so only calls
@@ -323,33 +317,20 @@ def _fewest_split_rows(config: ModelConfig, batch: int, kind: str) -> int:
     8 MFLOP made a 4 x 64 model on 12 x 12 tokens, whose largest calls are
     ~10 MFLOP, 6% slower; at 12 MFLOP an 8 x 128 model on 16 x 16 ran at 0.69
     of its serial time (0.72 at 16 MFLOP), 4 x 96 on 12 x 12 at 0.94 and
-    4 x 64 on 16 x 16 at 0.82. The row floor keeps the blocks bitwise: on
-    OpenBLAS, the mid MLP's (m, 512) @ (512, 128) on 1-15 rows differs in the
-    last bit from those rows of a product on 16 or more, while every shape
-    tested matched from 16 rows up. The head has no row kernel; its N + 1 is
-    more rows than any call computes.
+    4 x 64 on 16 x 16 at 0.82.
     """
-    fixed = call_flops(config, kind, 0)
-    per_row = call_flops(config, kind, 1) - fixed
-    if batch == 2:
-        return max(1, -((fixed - _SPLIT_FLOPS) // per_row))
-    if kind == KIND_FINAL:
-        return config.n_tokens + 1
-    return 2 * max(_SPLIT_MIN_ROWS, -(-_SPLIT_FLOPS // per_row))
+    return flops >= _SPLIT_FLOPS and not _worker_lock.locked() and two_cpus()
 
 
 def each_half(config: ModelConfig, kind: str, rows: int, batch: int, work) -> None:
     """Run work(h) for each member h of a module call computing ``rows`` rows each.
 
-    The pair mode of the one worker rule: a pair whose call computes at
-    least config.split_rows[2, kind] rows runs work(0) here and work(1) on
-    the worker (run_halves), when the process may use two CPUs. Every other
-    call, one that computes no row included, runs its members here in turn.
-    The row mode belongs to the batch-1 module callable (Model.forward_batch),
-    so a half of a pair never splits its rows and nothing on the worker asks
-    for the worker.
+    The pair mode of the worker rule: a pair that computes a row, and whose
+    half 1 pays (_split_pays of call_flops), runs work(0) here and work(1)
+    on the worker (run_halves). Every other call, one that computes no row
+    included, runs its members here in turn.
     """
-    if batch == 2 and rows >= config.split_rows[2, kind] and two_cpus():
+    if batch == 2 and rows >= 1 and _split_pays(call_flops(config, kind, rows)):
         run_halves(work)
     else:
         for h in range(batch):
@@ -359,28 +340,36 @@ def each_half(config: ModelConfig, kind: str, rows: int, batch: int, work) -> No
 def run_halves(work) -> None:
     """Run work(1) on the worker thread while work(0) runs on the caller.
 
-    Returns only after both halves have stopped; an error of either half
-    then propagates, half 0's first. Its two callers are the worker rule's
-    two modes: the second half of a guided pair (each_half) computes in
-    member 1's scratch of the caller's Workspace, and the second row block
-    of a batch-1 call (_by_rows) writes its rows of buffers the caller took.
-    The worker owns no buffer. Callers on several threads share the one
-    worker and queue behind it, and work(1) must not call run_halves itself:
-    the worker would wait on itself.
+    The caller borrows the worker: it takes _worker_lock without waiting,
+    starts the worker if none runs, and holds the lock until both halves
+    have stopped. A caller that finds the lock held (a half of a split, on
+    either thread, or another run's thread) runs work(0) and then work(1)
+    itself. Either way it returns only after both halves have stopped; an
+    error of either half then propagates, half 0's first. The worker owns no
+    buffer: a pair's half 1 computes in member 1's scratch of the caller's
+    Workspace (each_half), and a row block writes its rows of buffers the
+    caller took (_by_rows).
     """
     global _worker
-    with _worker_start:  # callers on several threads still start one worker
+    lock = _worker_lock
+    if not lock.acquire(blocking=False):
+        work(0)
+        work(1)
+        return
+    try:
         if _worker is None:
             from concurrent.futures import ThreadPoolExecutor
 
             _worker = ThreadPoolExecutor(1, "toca-half", _start_worker, (_current_cpu(),))
-    half1 = _worker.submit(work, 1)
-    try:
-        work(0)
-    except BaseException:
-        half1.exception()  # waits for half 1 to stop
-        raise
-    half1.result()
+        half1 = _worker.submit(work, 1)
+        try:
+            work(0)
+        except BaseException:
+            half1.exception()  # waits for half 1 to stop
+            raise
+        half1.result()
+    finally:
+        lock.release()
 
 
 def _current_cpu() -> int | None:
@@ -446,25 +435,27 @@ def _take_rows(x: np.ndarray, rows, out: np.ndarray) -> np.ndarray:
     return np.take(x, idx, axis=0, out=out[: idx.shape[0]], mode="clip")
 
 
-def _by_rows(split: bool, kernel, rows: tuple, *shared) -> None:
-    """kernel(*rows, *shared), or split: rows [0, m // 2) here, [m // 2, m) on the worker.
+def _by_rows(block_flops, kernel, rows: tuple, *shared) -> None:
+    """kernel(*rows, *shared), or rows [0, m // 2) here and [m // 2, m) on the worker.
 
-    ``rows`` are arrays over the same m query rows; both blocks read
-    ``shared``. A kernel writes only the rows it is given, with each row's
-    arithmetic that of the unsplit call, so no output bit depends on the
-    split (_fewest_split_rows holds the row floor that keeps it so).
+    The row mode of the worker rule: the call splits when each block holds
+    at least _SPLIT_MIN_ROWS rows and block_flops(m // 2), the FLOPs of the
+    smaller block, pays (_split_pays). ``rows`` are arrays over the same m
+    query rows; both blocks read ``shared``. A kernel writes only the rows
+    it is given, with each row's arithmetic that of the unsplit call, so no
+    output bit depends on the split. The row floor keeps it so: on OpenBLAS,
+    the mid MLP's (m, 512) @ (512, 128) on 1-15 rows differs in the last bit
+    from those rows of a product on 16 or more, while every shape tested
+    matched from 16 rows up.
     """
-    if not split:
-        kernel(*rows, *shared)
-        return
     half = rows[0].shape[0] // 2
-    run_halves(lambda h: kernel(*(r[half:] if h else r[:half] for r in rows), *shared))
+    if half >= _SPLIT_MIN_ROWS and _split_pays(block_flops(half)):
+        run_halves(lambda h: kernel(*(r[half:] if h else r[:half] for r in rows), *shared))
+    else:
+        kernel(*rows, *shared)
 
 
-def _attend(
-    xq, kv, weights: AttnWeights, heads: int, counter: FlopCounter | None, ws=None,
-    split: bool = False,
-):
+def _attend(xq, kv, weights: AttnWeights, heads: int, counter: FlopCounter | None, ws=None):
     """Multi-head attention of (m, d) query rows against (n, d) key/value rows.
 
     Projects keys/values from ``kv``, then queries from ``xq``. Heads run in
@@ -482,11 +473,12 @@ def _attend(
     0..H-1. Returns the projected output (m, d) and the head-averaged
     attention map (m, n), both in ``ws`` when given, like every intermediate.
 
-    ``split`` (the worker rule's row mode) projects keys and values here
-    once and runs the query rows as two blocks (_by_rows), each on its own
-    rows of q, the head outputs, the map and the output, and with its own
-    logits stack in its rows of one (m, g * n) buffer: this thread takes
-    every buffer, at the unsplit size.
+    Keys and values are projected here, once; the query rows then run as
+    one block or, under the worker rule's row mode, as two (_by_rows), each
+    on its own rows of q, the head outputs, the map and the output, and with
+    its own logits stack in its rows of one (m, g * n) buffer. This thread
+    takes every buffer, at the unsplit size, and a block's FLOPs leave out
+    the key/value projections.
     """
     m, d = xq.shape
     n = kv.shape[0]
@@ -516,7 +508,10 @@ def _attend(
     logits = _buffer(ws, "logits", m, g * n)
     out = _buffer(ws, "out", m, d)
     rows = (xq, q, out_heads, attn_sum, out, logits)
-    _by_rows(split, _attend_rows, rows, k3, v3, weights, g)
+    _by_rows(
+        lambda r: flops_cross_attention(r, n, d, heads) - flops_cross_attention(0, n, d, heads),
+        _attend_rows, rows, k3, v3, weights, g,
+    )
     return out, attn_sum
 
 
@@ -556,7 +551,6 @@ def self_attention_forward(
     rows=None,
     counter: FlopCounter | None = None,
     ws: Workspace | None = None,
-    split: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Multi-head self-attention over the token stream.
 
@@ -565,12 +559,12 @@ def self_attention_forward(
     than its queries, so the only one that takes row ids. Returns the module
     output together with the head-averaged attention map (rows = queries,
     columns = tokens). The output, the map and every intermediate go to
-    ``ws`` when given, new arrays otherwise. ``split`` runs the query rows
-    as two blocks on two threads (_attend).
+    ``ws`` when given, new arrays otherwise. A call large enough may run its
+    query rows as two blocks on two threads (_attend).
     """
     x = linalg.as_matrix(x)
     xq = x if rows is None else _take_rows(x, rows, _buffer(ws, "rows", len(rows), x.shape[1]))
-    return _attend(xq, x, weights, heads, counter, ws, split)
+    return _attend(xq, x, weights, heads, counter, ws)
 
 
 def cross_attention_forward(
@@ -580,11 +574,10 @@ def cross_attention_forward(
     heads: int,
     counter: FlopCounter | None = None,
     ws: Workspace | None = None,
-    split: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Attention of every row of x (a partial call's rows only) against text keys/values.
 
-    Buffers and ``split`` as in self_attention_forward.
+    Buffers and the row split as in self_attention_forward.
     """
     x = linalg.as_matrix(x)
     if text is None:
@@ -594,7 +587,7 @@ def cross_attention_forward(
         raise ValueError("cross-attention needs at least one text token")
     if text.shape[1] != x.shape[1]:
         raise ValueError(f"text hidden size {text.shape[1]} != {x.shape[1]}")
-    return _attend(x, text, weights, heads, counter, ws, split)
+    return _attend(x, text, weights, heads, counter, ws)
 
 
 def mlp_forward(
@@ -602,13 +595,12 @@ def mlp_forward(
     weights: MlpWeights,
     counter: FlopCounter | None = None,
     ws: Workspace | None = None,
-    split: bool = False,
 ) -> np.ndarray:
     """Token-wise two-layer MLP with a ReLU between the projections, on every row of x.
 
-    The output and the hidden layer go to ``ws`` when given. ``split`` runs
-    the rows as two blocks on two threads (_by_rows), each on its own rows
-    of the hidden layer and the output.
+    The output and the hidden layer go to ``ws`` when given. A call large
+    enough may run its rows as two blocks on two threads (_by_rows), each on
+    its own rows of the hidden layer and the output.
     """
     x = linalg.as_matrix(x)
     m, d = x.shape
@@ -616,7 +608,7 @@ def mlp_forward(
     # the hidden layer shares its workspace memory with the attention logits
     h = _buffer(ws, "logits", m, d2)
     out = _buffer(ws, "out", m, d)
-    _by_rows(split, _mlp_rows, (x, h, out), weights)
+    _by_rows(lambda r: flops_mlp(r, d), _mlp_rows, (x, h, out), weights)
     if counter is not None:
         counter.matmul(m, d, d2)
         counter.activation(m * d2)
@@ -664,27 +656,26 @@ class Model:
             stream += cond.class_embedding[None, :]
         return stream
 
-    def _apply(self, layer: int, kind: str, cond: Conditioning, h, rows=None, ws=None, split=False):
+    def _apply(self, layer: int, kind: str, cond: Conditioning, h, rows=None, ws=None):
         """One module on the (normed) stream h: (output, attention map or None).
 
         Only self-attention takes ``rows``, the query rows it computes against
         the full stream; any other kind computes every row of h and raises
         ValueError on row ids. The output and every intermediate go to
-        ``ws``, the scratch of the member the call serves. ``split`` runs
-        an attention or MLP kernel's rows as two blocks on two threads (the
-        worker rule's row mode); the head ignores it.
+        ``ws``, the scratch of the member the call serves. An attention or
+        MLP kernel decides its own row split (_by_rows); the head has none.
         """
         heads = self.config.heads
         if kind == KIND_SELF:
             w = self.groups[layer].self_attn
-            return self_attention_forward(h, w, heads, rows, ws=ws, split=split)
+            return self_attention_forward(h, w, heads, rows, ws=ws)
         if rows is not None:
             raise ValueError(f"only self-attention takes row ids, not {kind!r}")
         if kind == KIND_CROSS:
             w = self.groups[layer].cross_attn
-            return cross_attention_forward(h, cond.text, w, heads, ws=ws, split=split)
+            return cross_attention_forward(h, cond.text, w, heads, ws=ws)
         if kind == KIND_MLP:
-            return mlp_forward(h, self.groups[layer].mlp, ws=ws, split=split), None
+            return mlp_forward(h, self.groups[layer].mlp, ws=ws), None
         if kind == KIND_FINAL:
             return np.matmul(h, self.out_proj, out=_buffer(ws, "out", *h.shape)), None
         raise ValueError(f"unknown module kind {kind!r}")
@@ -728,19 +719,20 @@ class Model:
         this thread allocated before the call. No buffer of ``ws`` outlives a
         forward, so contexts may share one.
 
-        One rule, config.split_rows, decides which module calls use the
-        worker thread, in two modes. Pair mode: each_half, called here
-        without a context and from the context's dispatch under one, runs a
-        pair's second half there while the first runs here; half 1's layer
-        norm, module call and output handling then run on the worker, in
-        ``ws.member(1)``, and half 1's stream (without a context). Row mode:
-        the module callable of a batch-1 forward runs a call of at least
-        split_rows[1, kind] query rows as two row blocks, the second there,
-        into its rows of member 0's buffers, which this thread took; the layer
-        norm and the output's use stay here. A cache context sees neither
-        mode: it calls fns[h](x, rows=None). Each value is computed by the
-        same arithmetic on either thread, so no output bit depends on the
-        worker.
+        One rule, _split_pays, decides which module calls use the worker
+        thread, in two modes, each evaluated where its split happens. Pair
+        mode: each_half, called here without a context and from the
+        context's dispatch under one, runs a pair's second half there while
+        the first runs here; half 1's layer norm, module call and output
+        handling then run on the worker, in ``ws.member(1)``, and half 1's
+        stream (without a context). Row mode: an attention or MLP kernel runs
+        a call large enough as two row blocks (_by_rows), the second there,
+        into its rows of the member's buffers, which the calling thread
+        took; the layer norm and the output's use stay on that thread. A
+        split holds the worker until both halves stop, so a half of a pair
+        never splits its rows. A cache context sees neither mode: it calls
+        fns[h](x, rows=None). Each value is computed by the same arithmetic
+        on either thread, so no output bit depends on the worker.
 
         Under a context, each dispatch gets the raw residual streams, and its
         module callables normalise only the rows the module reads: all N for
@@ -778,12 +770,9 @@ class Model:
             self.input_stream(xs[h], t, conds[h], out=streams[h])
 
         def module(layer, kind, h):
-            # the row mode: a half of a pair never splits its rows
-            fewest = cfg.split_rows[1, kind] if len(xs) == 1 else n + 1
             scratch = ws.member(h)
 
             def fn(x, rows=None):
-                split = (n if rows is None else len(rows)) >= fewest and two_cpus()
                 if rows is not None and kind != KIND_SELF:
                     # the computed rows are gathered into the member's scratch,
                     # normalised there, and are all the module sees
@@ -792,7 +781,7 @@ class Model:
                         x = layer_norm_rows(x, out=x, ws=scratch)
                 elif kind != KIND_FINAL:
                     x = layer_norm_rows(x, ws=scratch)
-                return self._apply(layer, kind, conds[h], x, rows, ws=scratch, split=split)
+                return self._apply(layer, kind, conds[h], x, rows, ws=scratch)
 
             return fn
 

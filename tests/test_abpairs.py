@@ -52,3 +52,45 @@ def test_a_metric_missing_on_one_side_counts_in_no_pair():
     s = abpairs.summarize([_pair(1, parent, change)])
     assert set(s["mid-off"]) == {"gen_s.min"}
 
+
+
+SPEC = {"gen_s.min": (0.25, "lower"), "peak_rss_mb": (0.1, "lower")}
+
+
+def _verdicts(parent_gens, change_gens):
+    pairs = [_pair(i + 1, _line(p, 80.0), _line(c, 80.0)) for i, (p, c) in
+             enumerate(zip(parent_gens, change_gens))]
+    s = abpairs.summarize(pairs, SPEC)["mid-off"]
+    return s["gen_s.min"]["verdict"], s["peak_rss_mb"]["verdict"]
+
+
+def test_verdict_is_worse_past_the_bound_from_the_parents_median():
+    assert _verdicts([1.0, 1.0, 1.0, 1.0], [1.3, 1.3, 1.2, 1.3])[0] == "worse"
+    assert _verdicts([1.0, 1.0, 1.0, 1.0], [1.2, 1.2, 1.2, 1.2]) == ("no worse", "no worse")
+
+
+def test_verdict_is_unresolved_when_the_parents_spread_exceeds_the_bound():
+    # parent IQR 0.5-1.5 against a bound of 0.25 x 1.0
+    parent = [0.5, 0.5, 1.0, 1.5, 1.5]
+    assert _verdicts(parent, [0.9, 1.0, 1.1, 1.0, 0.4])[0] == "unresolved"
+    # unless every run of the change beats every run of the parent
+    assert _verdicts(parent, [0.4, 0.3, 0.45, 0.2, 0.1])[0] == "no worse"
+
+
+def test_verdict_reads_the_direction_of_better():
+    assert abpairs.verdict([10.0] * 4, [7.0] * 4, 0.25, "higher") == "worse"
+    assert abpairs.verdict([10.0] * 4, [13.0] * 4, 0.25, "higher") == "no worse"
+    assert abpairs.verdict([5.0, 5.0, 10.0, 15.0, 15.0], [16.0] * 5, 0.25, "higher") == "no worse"
+    assert abpairs.verdict([5.0, 5.0, 10.0, 15.0, 15.0], [14.0] * 5, 0.25, "higher") == "unresolved"
+
+
+def test_the_report_prints_each_verdict_and_reads_the_benchmark(tmp_path):
+    path = tmp_path / "BENCHMARK.json"
+    path.write_text(json.dumps({"end_to_end": [
+        {"name": "gen_s.min", "unit": "s", "better": "lower", "bound": 0.25},
+    ]}))
+    spec = abpairs.end_to_end(path)
+    assert spec == {"gen_s.min": (0.25, "lower")}
+    s = abpairs.summarize([_pair(1, _line(1.0, 80.0), _line(2.0, 80.0))], spec)
+    assert "verdict" not in s["mid-off"]["peak_rss_mb"]
+    assert abpairs.report(s).splitlines()[1].endswith("worse")

@@ -677,7 +677,7 @@ def test_a_batch_one_dispatch_past_the_row_split_calls_fn_x_rows(monkeypatch):
         ctx.begin_step(step)
         ctx.dispatch(0, KIND_SELF, [None], [fn])
     assert seen == [None, n // 2]
-    assert n // 2 >= config.split_rows[1, KIND_SELF]  # the partial call is past the split
+    assert n // 2 >= 118  # the partial call is past the split: 118 self-attention rows
 
 
 def test_a_batch_one_run_calls_its_module_callables_without_keywords(monkeypatch):

@@ -564,14 +564,14 @@ def test_module_callables_gather_what_the_full_call_computes(text):
             np.testing.assert_allclose(part, full_rows, rtol=0, atol=ONE_ROW_ULPS * ulp)
 
 
-def test_mid_mlp_row_blocks_from_the_floor_up_are_the_full_call():
+def test_mid_mlp_row_blocks_from_the_floor_up_are_the_full_call(monkeypatch):
     """What a row split relies on, at the mid MLP: 128 -> 512 -> 128 on a 256-row stream.
 
     Near-equal row blocks of at least _SPLIT_MIN_ROWS rows are bitwise the
-    rows of the call they split, run through the kernel's own split too. A
-    one-row call still differs from its row of the full call in the last
-    bit (NumPy's matrix-vector path), and on OpenBLAS so does every call of
-    1-15 rows here: hence the floor.
+    rows of the call they split, run through the kernel's own split too (the
+    rule at its floors). A one-row call still differs from its row of the
+    full call in the last bit (NumPy's matrix-vector path), and on OpenBLAS
+    so does every call of 1-15 rows here: hence the floor.
     """
     c = ModelConfig(depth=1, hidden=128, heads=8, grid_h=16, grid_w=16)
     w = init_model(c, seed=7).groups[0].mlp
@@ -582,7 +582,13 @@ def test_mid_mlp_row_blocks_from_the_floor_up_are_the_full_call():
         half = m // 2
         assert np.array_equal(mlp_forward(x[:half], w), full[:half]), m
         assert np.array_equal(mlp_forward(x[half:m], w), full[half:]), m
-        assert np.array_equal(mlp_forward(x[:m], w, split=True), full), m
+        with monkeypatch.context() as patch:
+            trips, run_halves = [], toca_model.run_halves
+            patch.setattr(toca_model, "two_cpus", lambda: True)
+            patch.setattr(toca_model, "_SPLIT_FLOPS", 0)
+            patch.setattr(toca_model, "run_halves", lambda f: trips.append(1) or run_halves(f))
+            split = mlp_forward(x[:m], w)
+        assert trips and np.array_equal(split, full), m
     full = mlp_forward(x, w)
     one = mlp_forward(x[7:8], w)
     assert not np.array_equal(one, full[7:8])

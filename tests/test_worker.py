@@ -1,10 +1,11 @@
-"""The worker thread that runs the second half of a guided call or of a batch-1 call's rows.
+"""The worker thread that runs the second half of a guided call or of a call's query rows.
 
-One rule decides both: config.split_rows, the fewest rows a call computes,
-and model.two_cpus, the CPU check. A test forces the check on or off, so a
-runner with a single CPU still runs the threaded path, and lowers the memo
-to its floors by setting model._SPLIT_FLOPS to 0 before a config first reads
-it: a pair then splits any call that computes a row, a batch-1 call any of
+One rule decides both, where the split happens: model._split_pays, true when
+the second half executes model._SPLIT_FLOPS, no other split holds the
+worker, and model.two_cpus, the CPU check, holds. A test forces the check on
+or off, so a runner with a single CPU still runs the threaded path, and
+lowers the rule to its floors by setting model._SPLIT_FLOPS to 0: a pair then
+splits any call that computes a row, a batch-1 call any of
 2 * _SPLIT_MIN_ROWS rows.
 """
 
@@ -43,7 +44,7 @@ STEPS = 10
 
 
 def _force(monkeypatch, on: bool):
-    """The CPU check forced, and _SPLIT_FLOPS 0 for every memo read from here on."""
+    """The CPU check forced, and the rule at its floors (_SPLIT_FLOPS 0)."""
     monkeypatch.setattr(tm, "two_cpus", lambda: on)
     monkeypatch.setattr(tm, "_SPLIT_FLOPS", 0)
 
@@ -60,7 +61,7 @@ def _rows_split(monkeypatch, text: bool):
     """A toy model whose full calls (64 rows) split by rows wherever two_cpus allows."""
     monkeypatch.setattr(tm, "_SPLIT_FLOPS", 0)
     model, cond = _toy(text, grid=8)
-    assert model.config.split_rows[1, KIND_MLP] == 2 * tm._SPLIT_MIN_ROWS
+    assert model.config.n_tokens // 2 >= tm._SPLIT_MIN_ROWS
     return model, cond
 
 
@@ -116,25 +117,25 @@ def test_a_pair_split_is_one_round_trip_and_never_splits_rows(monkeypatch, profi
     # every call of this model could split by rows, were it not one half of a pair
     model, cond = _rows_split(monkeypatch, text=True)
     _force(monkeypatch, True)
-    trips, splits = [], []
+    trips, held = [], []
     run_halves, by_rows = tm.run_halves, tm._by_rows
 
     def one_trip(work):
-        # a round trip asked for on the worker would wait on itself: fail instead
+        # a half asks for no round trip, on either thread
         assert threading.current_thread() is threading.main_thread()
         trips.append(1)
         run_halves(work)
 
     monkeypatch.setattr(tm, "run_halves", one_trip)
     monkeypatch.setattr(
-        tm, "_by_rows", lambda split, *args: splits.append(split) or by_rows(split, *args)
+        tm, "_by_rows", lambda *args: held.append(tm._worker_lock.locked()) or by_rows(*args)
     )
     _, stats = _generate(model, cond, profile)
     computing = STEPS * len(model.config.sites) if profile == "off" else sum(
         1 for e in stats.events if e.computed
     )
     assert len(trips) == computing
-    assert splits and not any(splits)
+    assert held and all(held)  # every kernel ran while its pair's split held the worker
 
 
 def test_dispatches_that_compute_no_row_stay_on_the_caller(monkeypatch):
@@ -167,9 +168,9 @@ def test_worker_runs_half_one_on_its_own_thread_and_scratch(monkeypatch):
     seen, passed = {}, []
     real = model._apply
 
-    def apply(layer, kind, c, h, rows=None, ws=None, split=False):
+    def apply(layer, kind, c, h, rows=None, ws=None):
         seen.setdefault(c is cond, set()).add((threading.get_ident(), ws))
-        return real(layer, kind, c, h, rows, ws=ws, split=split)
+        return real(layer, kind, c, h, rows, ws=ws)
 
     class Passed(Workspace):
         def __init__(self):
@@ -293,7 +294,8 @@ def test_concurrent_guided_runs_share_one_worker(monkeypatch, profile):
     assert len(pools) == len(started) == 1
 
 
-def test_concurrent_batch_one_runs_queue_behind_one_worker(monkeypatch):
+def test_concurrent_batch_one_runs_borrow_the_worker_in_turn(monkeypatch):
+    # a run that finds another's split holding the worker computes both blocks itself
     model, cond = _rows_split(monkeypatch, text=False)
 
     def run(seed):
@@ -321,6 +323,51 @@ def test_concurrent_batch_one_runs_queue_behind_one_worker(monkeypatch):
     assert got == want
 
 
+def test_a_split_inside_either_half_runs_on_that_halfs_thread():
+    """run_halves inside a half finds the worker held and runs both inner halves in place.
+
+    In a child process with a timeout: an inner split that queued behind the
+    worker would wait on itself, and the call would never return.
+    """
+    code = (
+        "import threading\n"
+        "import toca.model as tm\n"
+        "seen = {}\n"
+        "def outer(h):\n"
+        "    seen[h] = threading.get_ident()\n"
+        "    tm.run_halves(lambda i: seen.setdefault((h, i), threading.get_ident()))\n"
+        "tm.run_halves(outer)\n"
+        "assert seen[0] == seen[0, 0] == seen[0, 1] == threading.get_ident(), seen\n"
+        "assert seen[1] == seen[1, 0] == seen[1, 1] != seen[0], seen\n"
+    )
+    src = str(Path(tm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=30)
+
+
+def test_a_caller_that_finds_the_worker_held_runs_both_halves_itself():
+    held, release = threading.Event(), threading.Event()
+
+    def first(h):  # the other run's split: its half 1 holds the worker until released
+        if h:
+            held.set()
+            release.wait(timeout=10)
+
+    other = threading.Thread(target=tm.run_halves, args=(first,))
+    seen = []
+    try:
+        other.start()
+        assert held.wait(timeout=10)
+        tm.run_halves(lambda h: seen.append((h, threading.get_ident())))
+        still_held = other.is_alive()  # returned while the other split held the worker
+    finally:
+        release.set()
+        other.join(timeout=10)
+    me = threading.get_ident()
+    assert still_held and seen == [(0, me), (1, me)]
+    assert not other.is_alive()
+
+
 def test_calls_below_the_size_rule_never_start_the_worker(monkeypatch):
     monkeypatch.setattr(tm, "_worker", None)
     monkeypatch.setattr(tm, "two_cpus", lambda: True)  # the real _SPLIT_FLOPS
@@ -342,7 +389,8 @@ def test_calls_below_the_size_rule_never_start_the_worker(monkeypatch):
     tm._worker.shutdown()
 
 
-def test_split_rows_are_the_fewest_that_hold_the_floor_and_the_flops():
+def test_each_mode_splits_from_the_fewest_rows_that_pay(monkeypatch):
+    """Pair mode from call_flops, row mode from the kernels' block FLOPs, on a free worker."""
     sizes = [(4, 32, 4, 8), (8, 128, 8, 16), (12, 256, 8, 32)]  # toy, mid, big
     configs = [ModelConfig(*size, size[3], text) for size in sizes for text in (0, 16)] + [
         ModelConfig(depth=4, hidden=64, heads=4, grid_h=12, grid_w=12),
@@ -350,19 +398,59 @@ def test_split_rows_are_the_fewest_that_hold_the_floor_and_the_flops():
         ModelConfig(depth=4, hidden=64, heads=4, grid_h=16, grid_w=16),
         ModelConfig(depth=2, hidden=512, heads=8, grid_h=8, grid_w=8, text_tokens=4),
     ]
+    by_rows = tm._by_rows
+    trips = []
+    monkeypatch.setattr(tm, "two_cpus", lambda: True)
+    monkeypatch.setattr(tm, "run_halves", lambda work: trips.append(1))
+
+    def splits(call):
+        trips.clear()
+        call()
+        return bool(trips)
+
+    def kernel_block_flops(c, kind):
+        """The block FLOPs the kernel of ``kind`` hands _by_rows on a full call."""
+        d, got = c.hidden, []
+        x, text = np.zeros((c.n_tokens, d)), np.zeros((c.text_tokens, d))
+        attn = tm.AttnWeights(*(np.zeros((d, d)) for _ in range(4)))
+        mlp = tm.MlpWeights(np.zeros((d, c.mlp_hidden)), np.zeros((c.mlp_hidden, d)))
+        with monkeypatch.context() as patch:
+            patch.setattr(tm, "_by_rows", lambda flops, *args: got.append(flops))
+            if kind == KIND_SELF:
+                tm.self_attention_forward(x, attn, c.heads)
+            elif kind == KIND_CROSS:
+                tm.cross_attention_forward(x, text, attn, c.heads)
+            else:
+                tm.mlp_forward(x, mlp)
+        return got[0]
+
+    fewest = {}  # (config, mode, kind) -> fewest rows that split
     for c in configs:
         for kind in KINDS:
             for rows in range(c.n_tokens + 1):
                 pair = rows >= 1 and tm.call_flops(c, kind, rows) >= tm._SPLIT_FLOPS
-                assert (rows >= c.split_rows[2, kind]) == pair, (c, kind, rows)
-                if kind != KIND_FINAL:  # a row block's FLOPs leave out the K/V projections
-                    block = rows // 2
-                    flops = tm.call_flops(c, kind, block) - tm.call_flops(c, kind, 0)
-                    fits = block >= tm._SPLIT_MIN_ROWS and flops >= tm._SPLIT_FLOPS
-                    assert (rows >= c.split_rows[1, kind]) == fits, (c, kind, rows)
-        assert c.split_rows[1, KIND_FINAL] > c.n_tokens  # the head never splits its rows
+                assert splits(lambda: tm.each_half(c, kind, rows, 2, lambda h: None)) == pair
+                if pair:
+                    fewest.setdefault((c, 2, kind), rows)
+        for kind in c.group_kinds:  # the head has no row kernel
+            block_flops = kernel_block_flops(c, kind)
+            for rows in range(c.n_tokens + 1):
+                block = rows // 2  # a row block's FLOPs leave out the K/V projections
+                flops = tm.call_flops(c, kind, block) - tm.call_flops(c, kind, 0)
+                assert block_flops(block) == flops
+                fits = block >= tm._SPLIT_MIN_ROWS and flops >= tm._SPLIT_FLOPS
+                blocks = (np.empty((rows, 0)),)
+                assert splits(lambda: by_rows(block_flops, lambda x: None, blocks)) == fits
+                if fits:
+                    fewest.setdefault((c, 1, kind), rows)
     mid = ModelConfig(depth=8, hidden=128, heads=8, grid_h=16, grid_w=16)
-    assert (mid.split_rows[1, KIND_SELF], mid.split_rows[1, KIND_MLP]) == (118, 92)
+    mid_text = dataclasses.replace(mid, text_tokens=16)
+    assert (fewest[mid, 1, KIND_SELF], fewest[mid, 1, KIND_MLP]) == (118, 92)
+    assert (fewest[mid, 2, KIND_MLP], fewest[mid_text, 2, KIND_CROSS]) == (46, 148)
+    with tm._worker_lock:  # held by another split: neither mode splits
+        assert not splits(lambda: tm.each_half(mid, KIND_MLP, 256, 2, lambda h: None))
+        blocks = (np.empty((256, 0)),)
+        assert not splits(lambda: by_rows(lambda r: tm._SPLIT_FLOPS, lambda x: None, blocks))
 
 
 class _OneSite:
@@ -380,22 +468,21 @@ class _OneSite:
         return [np.zeros_like(xs[0])]
 
 
-def test_a_batch_one_call_splits_its_rows_from_the_memo_up(monkeypatch):
+def test_a_batch_one_call_splits_its_rows_from_the_thresholds_up(monkeypatch):
     c = ModelConfig(depth=1, hidden=128, heads=8, grid_h=16, grid_w=16)
     model, cond = init_model(c, seed=1), Conditioning.random_class(c, 1)
     x = tm.FeatureMatrix(np.zeros((c.n_tokens, c.hidden)), c.grid)
-    asked, splits = [], []
+    asked, trips = [], []
     monkeypatch.setattr(tm, "two_cpus", lambda: asked.append(1) or True)
-    by_rows = tm._by_rows
-    monkeypatch.setattr(
-        tm, "_by_rows", lambda split, *args: splits.append(split) or by_rows(False, *args)
-    )
-    cases = [(k, c.split_rows[1, k] + d, [d == 0]) for k in (KIND_SELF, KIND_MLP) for d in (-1, 0)]
-    for kind, rows, want in cases + [(KIND_FINAL, c.n_tokens, [])]:
-        splits.clear()
+    monkeypatch.setattr(tm, "run_halves", lambda work: trips.append(1) or [work(0), work(1)])
+    # the mid thresholds: 118 self-attention rows, 92 MLP rows
+    cases = [(k, fewest + d, d == 0) for k, fewest in ((KIND_SELF, 118), (KIND_MLP, 92))
+             for d in (-1, 0)]
+    for kind, rows, want in cases + [(KIND_FINAL, c.n_tokens, False)]:
+        trips.clear()
         model.forward_batch([x], 1.0, [cond], cache_ctx=_OneSite(kind, rows))
-        assert splits == want, (kind, rows)
-    assert len(asked) == 2  # only the calls at the memo ask for two CPUs
+        assert bool(trips) == want, (kind, rows)
+    assert len(asked) == 2  # only the calls whose blocks pay ask for two CPUs
 
 
 def test_split_needs_the_size_and_two_cpus(monkeypatch):
@@ -408,7 +495,7 @@ def test_split_needs_the_size_and_two_cpus(monkeypatch):
         tm.each_half(c, KIND_MLP, rows, 2, lambda h: None)
         return bool(trips)
 
-    big = c.split_rows[2, KIND_MLP]
+    big = 46  # the fewest rows a mid MLP pair splits at
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     assert splits(big) and not splits(big - 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
@@ -459,14 +546,14 @@ def test_error_in_either_half_leaves_after_both_stop(monkeypatch, bad, cached):
     finished = []
     real = model._apply
 
-    def apply(layer, kind, c, h, rows=None, ws=None, split=False):
+    def apply(layer, kind, c, h, rows=None, ws=None):
         if kind == KIND_MLP:
             half = 1 if c is cond else 0
             if half == bad:
                 raise RuntimeError(f"half {half} fails")
             time.sleep(0.05)
             finished.append(half)
-        return real(layer, kind, c, h, rows, ws=ws, split=split)
+        return real(layer, kind, c, h, rows, ws=ws)
 
     monkeypatch.setattr(model, "_apply", apply)
     with pytest.raises(RuntimeError, match=f"half {bad} fails"):

@@ -8,9 +8,18 @@ i+1`, the parent first at odd seeds and the change first at even ones, so
 slow drift of the host falls on both sides alike. Each run's `env` lines
 and its result line (the last line run.py prints) are kept verbatim in the
 output file. Per workload and end-to-end metric, it prints the parent's
-median and interquartile range, the change's median, and in how many pairs
-the change read lower. Nothing under perfbench/ is read or written except by
-running run.py.
+median and interquartile range, the change's median, in how many pairs the
+change read lower, and a verdict from the parent's BENCHMARK.json ``bound``
+and ``better`` (read, never written):
+
+- ``worse``: the change's median is beyond the parent's median, in the
+  wrong direction, by more than bound x that median;
+- ``unresolved``: the parent's interquartile range exceeds bound x its
+  median, and not every run of the change reads better than every run of
+  the parent;
+- ``no worse``: otherwise.
+
+Nothing under perfbench/ is read or written except by running run.py.
 """
 
 from __future__ import annotations
@@ -61,12 +70,31 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(pairs: list[dict]) -> dict:
+def end_to_end(benchmark: Path) -> dict:
+    """metric -> (bound, better), from a BENCHMARK.json's end_to_end list."""
+    spec = json.loads(benchmark.read_text())
+    return {m["name"]: (m["bound"], m["better"]) for m in spec["end_to_end"]}
+
+
+def verdict(parent: list[float], change: list[float], bound: float, better: str) -> str:
+    """'worse', 'unresolved' or 'no worse' for one metric's runs (see the module doc)."""
+    sign = 1 if better == "lower" else -1
+    q1, med, q3 = quartiles(parent)
+    if sign * (statistics.median(change) - med) > bound * abs(med):
+        return "worse"
+    every_run_better = max(sign * c for c in change) < min(sign * p for p in parent)
+    if q3 - q1 > bound * abs(med) and not every_run_better:
+        return "unresolved"
+    return "no worse"
+
+
+def summarize(pairs: list[dict], spec: dict | None = None) -> dict:
     """Per workload and metric: the parent's quartiles, the change's median, pairs lower.
 
     ``pairs`` holds, per pair, each side's list of runs (run_one's dicts).
     Only pairs in which both sides report a metric count for it; ``failed``
-    sums the failed operations of every run.
+    sums the failed operations of every run. A metric that ``spec``
+    (end_to_end's map) names also gets its verdict.
     """
     values: dict = {}  # (workload, metric) -> [(parent, change)]
     failed = {side: 0 for side in SIDES}
@@ -93,6 +121,8 @@ def summarize(pairs: list[dict]) -> dict:
             "change_lower_in_pairs": sum(c < p for p, c in vs),
             "pairs": len(vs),
         }
+        if spec and metric in spec:
+            summary[name][metric]["verdict"] = verdict(parent, [c for _, c in vs], *spec[metric])
     return summary
 
 
@@ -107,7 +137,7 @@ def report(summary: dict) -> str:
             lines.append(
                 f"{name:<16} {metric:<12} parent {med:.6g} [IQR {q1:.6g}-{q3:.6g}]  "
                 f"change {s['change_median']:.6g}  lower in {s['change_lower_in_pairs']}"
-                f"/{s['pairs']}"
+                f"/{s['pairs']}" + (f"  {s['verdict']}" if "verdict" in s else "")
             )
     return "\n".join(lines)
 
@@ -115,6 +145,7 @@ def report(summary: dict) -> str:
 def main(argv=None) -> int:
     args = parse_args(argv)
     names = [w.strip() for w in args.workloads.split(",") if w.strip()]
+    spec = end_to_end(args.parent / "BENCHMARK.json")
     out = {
         "command": "python3 perfbench/run.py --workload W --trace 0 --seed SEED "
                    f"--seconds {args.seconds:g}",
@@ -132,7 +163,7 @@ def main(argv=None) -> int:
                 {"workload": w, **run_one(checkout.resolve(), w, seed, args.seconds)} for w in names
             ]
         out["pairs"].append(pair)
-        out["summary"] = summarize(out["pairs"])
+        out["summary"] = summarize(out["pairs"], spec)
         # written after every pair, so a run cut short keeps the pairs it made
         args.out.write_text(json.dumps(out, indent=1) + "\n")
         print(f"pair {i + 1}/{args.pairs} done (seed {seed}, {order[0]} first)", file=sys.stderr)
