@@ -389,8 +389,11 @@ def test_calls_below_the_size_rule_never_start_the_worker(monkeypatch):
     tm._worker.shutdown()
 
 
-def test_each_mode_splits_from_the_fewest_rows_that_pay(monkeypatch):
-    """Pair mode from call_flops, row mode from the kernels' block FLOPs, on a free worker."""
+def test_split_rows_are_the_fewest_that_hold_the_floor_and_the_flops(monkeypatch):
+    """Each mode splits from the fewest rows that pay, on a free worker.
+
+    Pair mode from call_flops, row mode from the kernels' block FLOPs and the row floor.
+    """
     sizes = [(4, 32, 4, 8), (8, 128, 8, 16), (12, 256, 8, 32)]  # toy, mid, big
     configs = [ModelConfig(*size, size[3], text) for size in sizes for text in (0, 16)] + [
         ModelConfig(depth=4, hidden=64, heads=4, grid_h=12, grid_w=12),
@@ -468,7 +471,8 @@ class _OneSite:
         return [np.zeros_like(xs[0])]
 
 
-def test_a_batch_one_call_splits_its_rows_from_the_thresholds_up(monkeypatch):
+def test_a_batch_one_call_splits_its_rows_from_the_memo_up(monkeypatch):
+    """From the fewest rows whose blocks pay, and not one row below."""
     c = ModelConfig(depth=1, hidden=128, heads=8, grid_h=16, grid_w=16)
     model, cond = init_model(c, seed=1), Conditioning.random_class(c, 1)
     x = tm.FeatureMatrix(np.zeros((c.n_tokens, c.hidden)), c.grid)
