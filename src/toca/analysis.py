@@ -201,14 +201,15 @@ class FrequencyMap:
         return header + pixels.tobytes()
 
 
-def build_cache_frequency_map(
-    stats: RunStats, grid: tuple[int, int], half: int = 0
-) -> FrequencyMap:
-    """Fold a run's per-token cache counts onto the spatial grid."""
+def build_cache_frequency_map(stats: RunStats, grid: tuple[int, int]) -> FrequencyMap:
+    """Fold member 0's per-token cache counts onto the spatial grid.
+
+    Member 0 is the run's only stream, or the unconditional half under guidance.
+    """
     if stats.cache_counts is None:
         raise ValueError("stats carry no cache counts (run had caching disabled)")
     h, w = grid
-    counts = stats.cache_counts[half]
+    counts = stats.cache_counts[0]
     if counts.size != h * w:
         raise ValueError(f"{counts.size} counts do not fill a {h}x{w} grid")
     return FrequencyMap(counts=counts.reshape(h, w).copy())

@@ -12,7 +12,8 @@ self-attention map (s1), the entropy of its cross-attention row (s2, zero for
 class-conditional models), and how many dispatches it has sat in the cache
 (s3), followed by a spatial boost that promotes one token per G x G grid cell.
 Aggregates for s1/s2 come from the layer's most recent fully computed
-attention; partially computed maps never feed the scores.
+attention, and are kept only while their weight is positive; partially
+computed maps never feed the scores. CacheContext.score is the whole policy.
 """
 
 from __future__ import annotations
@@ -481,10 +482,17 @@ class CacheContext:
             raise ValueError(f"step {step} outside [0, {self.total_steps})")
         self.step = step
 
-    def _base_scores(self, layer: int, kind: str, half: int) -> np.ndarray:
+    def score(self, layer: int, kind: str, h: int) -> np.ndarray:
+        """Member h's caching score per token at (layer, kind): the selection policy.
+
+        lam1 * s1 + lam2 * s2 + lam3 * s3, spatially boosted. s1 and s2 come
+        from the layer's last fully computed maps (the head reads the deepest
+        layer's), and only a positive lam1 or lam2 has them kept (_serve).
+        dispatch caches the lowest-scoring tokens, so a subclass that
+        overrides score changes which tokens are cached, never how many.
+        """
         sched = self.schedule
-        store = self.stores[half]
-        key = (layer, kind)
+        store = self.stores[h]
         stats_layer = min(layer, self.config.depth - 1)
         if sched.lam1 > 0:
             base = sched.lam1 * store.attn_influence[stats_layer]
@@ -493,8 +501,8 @@ class CacheContext:
         if sched.lam2 > 0 and stats_layer in store.cross_entropy:
             base += sched.lam2 * store.cross_entropy[stats_layer]
         if sched.lam3 > 0:
-            base += sched.lam3 * score_s3(store.counters[key], self._cycle_len[self.step])
-        return base
+            base += sched.lam3 * score_s3(store.counters[layer, kind], self._cycle_len[self.step])
+        return apply_spatial_boost(base, self.config.grid, sched.grid_size, sched.lam4)
 
     def dispatch(self, layer: int, kind: str, xs: list, fns: list) -> list:
         """Serve one (layer, module kind) application for every batch half.
@@ -504,14 +512,14 @@ class CacheContext:
         returns (output, attention map or None); it normalises only the rows
         the module reads, and a dispatch that caches every token never calls
         it. Every dispatch caches its plan event's floor(r_eff * N)
-        lowest-scoring tokens and computes the rest; fresh steps have
+        lowest-scoring tokens (score) and computes the rest; fresh steps have
         r_eff = 0, and coupled guidance halves share the mask of their summed
         scores. A site's first dispatch must cache nothing; it makes the
         site's slots and counters here, on the calling thread. A dispatch
         whose module call raises drops them for every half, so the site's
         next dispatch must again cache nothing. A dispatch that caches
         nothing copies each module output into its slot, zeroes the counters
-        and refreshes the score aggregates from the map; any other splices
+        and refreshes the score aggregates score reads; any other splices
         fresh rows into the slot and ages the cached ones.
         Returns the slots, the module outputs until the site's next dispatch.
 
@@ -536,15 +544,7 @@ class CacheContext:
                 store.counters[key] = np.zeros(self.config.n_tokens, dtype=np.int64)
 
         if event.cached and event.computed:
-            scores = [
-                apply_spatial_boost(
-                    self._base_scores(layer, kind, h),
-                    self.config.grid,
-                    self.schedule.grid_size,
-                    self.schedule.lam4,
-                )
-                for h in range(self.batch)
-            ]
+            scores = [self.score(layer, kind, h) for h in range(self.batch)]
             if self.schedule.cfg_coupled and self.batch > 1:
                 masks = [select_compute_set(np.sum(scores, axis=0), event.r_eff)] * self.batch
             else:
@@ -577,9 +577,9 @@ class CacheContext:
             out, attn = fn(x)
             np.copyto(store.values[key], out)
             store.counters[key].fill(0)
-            if kind == KIND_SELF:
+            if kind == KIND_SELF and self.schedule.lam1 > 0:  # kept only if score reads it
                 store.attn_influence[layer] = score_s1(attn)
-            elif kind == KIND_CROSS:
+            elif kind == KIND_CROSS and self.schedule.lam2 > 0:
                 store.cross_entropy[layer] = score_s2(attn)
         else:
             cached_layer_apply(fn, x, mask, store.values[key])

@@ -656,28 +656,33 @@ class Model:
             stream += cond.class_embedding[None, :]
         return stream
 
-    def _apply(self, layer: int, kind: str, cond: Conditioning, h, rows=None, ws=None):
-        """One module on the (normed) stream h: (output, attention map or None).
+    def _apply(self, layer: int, kind: str, cond: Conditioning, x, rows=None, ws=None):
+        """One module on the raw residual stream x: (output, attention map or None).
 
-        Only self-attention takes ``rows``, the query rows it computes against
-        the full stream; any other kind computes every row of h and raises
-        ValueError on row ids. The output and every intermediate go to
-        ``ws``, the scratch of the member the call serves. An attention or
+        ``rows``, when given, are the query rows the call computes.
+        Self-attention normalises all N rows, since its keys and values span
+        the stream, and takes the row ids; any other kind gathers the rows
+        into ws's "normed", normalises them there, and sees nothing else.
+        The head reads the raw stream. The output and every intermediate go
+        to ``ws``, the scratch of the member the call serves. An attention or
         MLP kernel decides its own row split (_by_rows); the head has none.
         """
+        if rows is not None and kind != KIND_SELF:
+            x, rows = _take_rows(x, rows, _buffer(ws, "normed", *x.shape)), None
+            if kind != KIND_FINAL:
+                x = layer_norm_rows(x, out=x, ws=ws)
+        elif kind != KIND_FINAL:
+            x = layer_norm_rows(x, ws=ws)
         heads = self.config.heads
         if kind == KIND_SELF:
-            w = self.groups[layer].self_attn
-            return self_attention_forward(h, w, heads, rows, ws=ws)
-        if rows is not None:
-            raise ValueError(f"only self-attention takes row ids, not {kind!r}")
+            return self_attention_forward(x, self.groups[layer].self_attn, heads, rows, ws=ws)
         if kind == KIND_CROSS:
             w = self.groups[layer].cross_attn
-            return cross_attention_forward(h, cond.text, w, heads, ws=ws)
+            return cross_attention_forward(x, cond.text, w, heads, ws=ws)
         if kind == KIND_MLP:
-            return mlp_forward(h, self.groups[layer].mlp, ws=ws), None
+            return mlp_forward(x, self.groups[layer].mlp, ws=ws), None
         if kind == KIND_FINAL:
-            return np.matmul(h, self.out_proj, out=_buffer(ws, "out", *h.shape)), None
+            return np.matmul(x, self.out_proj, out=_buffer(ws, "out", *x.shape)), None
         raise ValueError(f"unknown module kind {kind!r}")
 
     def forward(
@@ -711,8 +716,8 @@ class Model:
         pass the same workspace on every step of a trajectory so steps reuse
         its buffers (a new one is made per call otherwise). Every other
         buffer a module call of member h touches, its layer norm and output
-        included, is in ``ws.member(h)``, which its module callable binds
-        when it is built, on whichever thread runs the call. The output stays
+        included, is in ``ws.member(h)``, which its module callable passes
+        to _apply, on whichever thread runs the call. The output stays
         valid until member h's next module call: under a context, the
         context copies it into the slot it owns; without one, a block adds it
         into the member's stream and the head copies it into the prediction
@@ -734,18 +739,17 @@ class Model:
         fns[h](x, rows=None). Each value is computed by the same arithmetic
         on either thread, so no output bit depends on the worker.
 
-        Under a context, each dispatch gets the raw residual streams, and its
-        module callables normalise only the rows the module reads: all N for
-        self-attention, whose keys and values span the stream, the computed
-        rows for cross-attention and the MLP, none for the head, and none at
-        all when the dispatch reuses every token. Only self-attention gets
-        row ids; any other kind runs on the computed rows, gathered into its
-        member's scratch and normalised there. Row subsets of a layer norm,
-        and of a module call on at least _SPLIT_MIN_ROWS (16) rows, are
-        bitwise those rows of the full call. Fewer rows may differ in the
-        last bit: one row always (NumPy's matrix-vector path), and 2-15 rows
-        where OpenBLAS's product for few rows differs, as at the mid MLP's
-        512 -> 128 projection.
+        Member h's module callable is _apply bound to the site, conds[h] and
+        ws.member(h), called on the raw residual stream. Under a context,
+        each dispatch gets the raw streams, and _apply normalises only the
+        rows the module reads: all N for self-attention, whose keys and
+        values span the stream, the computed rows for cross-attention and
+        the MLP, none for the head, and none at all when the dispatch reuses
+        every token. Row subsets of a layer norm, and of a module call on at
+        least _SPLIT_MIN_ROWS (16) rows, are bitwise those rows of the full
+        call. Fewer rows may differ in the last bit: one row always (NumPy's
+        matrix-vector path), and 2-15 rows where OpenBLAS's product for few
+        rows differs, as at the mid MLP's 512 -> 128 projection.
         Without a context every module but the head reads the normed stream.
 
         ``site_hook``, when given, is called as
@@ -769,25 +773,14 @@ class Model:
         for h in halves:
             self.input_stream(xs[h], t, conds[h], out=streams[h])
 
-        def module(layer, kind, h):
-            scratch = ws.member(h)
-
-            def fn(x, rows=None):
-                if rows is not None and kind != KIND_SELF:
-                    # the computed rows are gathered into the member's scratch,
-                    # normalised there, and are all the module sees
-                    x, rows = _take_rows(x, rows, scratch.take("normed", n, d)), None
-                    if kind != KIND_FINAL:
-                        x = layer_norm_rows(x, out=x, ws=scratch)
-                elif kind != KIND_FINAL:
-                    x = layer_norm_rows(x, ws=scratch)
-                return self._apply(layer, kind, conds[h], x, rows, ws=scratch)
-
-            return fn
+        scratch = [ws.member(h) for h in halves]
 
         def run(layer, kind, use):
             """use(h, output) for every member h of one module call."""
-            fns = [module(layer, kind, h) for h in halves]
+            fns = [
+                lambda x, rows=None, h=h: self._apply(layer, kind, conds[h], x, rows, scratch[h])
+                for h in halves
+            ]
             if cache_ctx is not None:
                 for h, out in enumerate(cache_ctx.dispatch(layer, kind, streams, fns)):
                     use(h, out)

@@ -956,3 +956,66 @@ def test_cached_forward_normalises_only_the_rows_it_computes(monkeypatch, sched,
         0 < e.cached < n for row in plan for e in row.values() if e.kind == KIND_SELF
     ]
     assert any(partial_self) == (sched.type_mode == "uniform")
+
+
+# -- the selection policy ---------------------------------------------------------
+
+
+class _FixedRanking(CacheContext):
+    """A policy that reads no map or counter: token i scores -i, so the highest ids are cached."""
+
+    def score(self, layer, kind, h):
+        return -np.arange(self.config.n_tokens, dtype=np.float64)
+
+
+def _run_masks(ctx_cls, sched, guided):
+    """A ctx_cls context after 12 cached forwards of a text model, its masks recorded."""
+    c = ModelConfig(depth=2, hidden=8, heads=2, grid_h=4, grid_w=4, text_tokens=3)
+    model = init_model(c, seed=3)
+    conds = [Conditioning.null_for(c)] * guided + [Conditioning.random_text(c, 1)]
+    total = 12
+    ctx = ctx_cls(sched, c, total, batch=len(conds), record_masks=True)
+    ws = Workspace()
+    rng = np.random.default_rng(5)
+    for step in range(total):
+        ctx.begin_step(step)
+        x = FeatureMatrix(rng.normal(size=(c.n_tokens, 8)), c.grid)
+        model.forward_batch([x] * len(conds), float(total - step), conds, cache_ctx=ctx, ws=ws)
+    return ctx
+
+
+@pytest.mark.parametrize(
+    "guided,coupled", [(False, True), (True, True), (True, False)],
+    ids=["single", "coupled", "uncoupled"],
+)
+def test_an_overridden_score_decides_which_tokens_are_cached(guided, coupled):
+    """A subclass's score picks the cached tokens; how many each dispatch caches stays the plan's."""
+    sched = neutral(ratio=0.6, lam3=0.25, grid_size=2, cfg_coupled=coupled)
+    plain = _run_masks(CacheContext, sched, guided)
+    fixed = _run_masks(_FixedRanking, sched, guided)
+    n = fixed.config.n_tokens
+
+    def events(ctx):
+        return [(step, layer, kind, [len(i) for i in idx]) for step, layer, kind, idx in ctx.mask_log]
+
+    assert events(fixed) == events(plain)
+    partial = 0
+    for step, layer, kind, idx in fixed.mask_log:
+        e = fixed.plan[step][layer, kind]
+        if 0 < e.cached < n:
+            partial += 1
+            assert all(i.tolist() == list(range(e.computed)) for i in idx)
+            if guided:  # coupled halves share one mask, uncoupled ones select their own
+                assert (idx[0] is idx[1]) == coupled
+    assert partial
+    # the plain scores cache other tokens than the fixed ranking
+    assert fixed.cache_counts.tobytes() != plain.cache_counts.tobytes()
+
+
+@pytest.mark.parametrize("lam1,lam2", [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
+def test_only_a_weighted_map_score_keeps_its_aggregate(lam1, lam2):
+    """_serve keeps s1 only when lam1 > 0 and s2 only when lam2 > 0: score reads nothing else."""
+    ctx = _run_masks(CacheContext, neutral(ratio=0.7, lam1=lam1, lam2=lam2, lam3=1.0), True)
+    for store in ctx.stores:
+        assert sorted(store.attn_influence) == ([0, 1] if lam1 > 0 else [])
+        assert sorted(store.cross_entropy) == ([0, 1] if lam2 > 0 else [])

@@ -15,6 +15,7 @@ from toca import (
 from toca import model as toca_model
 from toca.flops import FLOPS_PER_MAC, SOFTMAX_FLOPS_PER_ELEMENT, FlopCounter
 from toca.model import (
+    KIND_CROSS,
     KIND_FINAL,
     KIND_MLP,
     KIND_SELF,
@@ -338,21 +339,34 @@ def test_forward_record_layout():
 
 @pytest.mark.parametrize("kind", ["self_attn", "cross_attn", "mlp", "final"])
 def test_apply_rows_match_full_rows(kind):
-    """Self-attention takes query ids; every other kind runs on the gathered rows."""
+    """Self-attention takes query ids; every other kind runs on the gathered rows.
+
+    _apply reads the raw stream: the rows of a partial call equal those of
+    a full call, with or without a workspace, and the stream is left as is.
+    """
     c = cfg(text_tokens=3, grid_h=3, grid_w=3)
     model = init_model(c, seed=5)
     cond = Conditioning.random_text(c, 2)
     h = np.random.default_rng(6).normal(size=(9, 8))
+    raw = h.copy()
     layer = c.depth if kind == KIND_FINAL else 1
     idx = np.array([0, 4, 5, 8])
-    full, _ = model._apply(layer, kind, cond, h)
+    full = model._apply(layer, kind, cond, h)[0].copy()
+    for ws in (None, Workspace()):
+        assert np.array_equal(model._apply(layer, kind, cond, h, rows=idx, ws=ws)[0], full[idx])
+        if kind != KIND_SELF:  # the gathered rows are all the module sees
+            assert np.array_equal(model._apply(layer, kind, cond, h[idx], ws=ws)[0], full[idx])
+    assert np.array_equal(h, raw)
+    normed = h if kind == KIND_FINAL else layer_norm_rows(h)
     if kind == KIND_SELF:
-        part, _ = model._apply(layer, kind, cond, h, rows=idx)
+        want = self_attention_forward(normed, model.groups[layer].self_attn, c.heads)[0]
+    elif kind == KIND_CROSS:
+        want = cross_attention_forward(normed, cond.text, model.groups[layer].cross_attn, c.heads)[0]
+    elif kind == KIND_MLP:
+        want = mlp_forward(normed, model.groups[layer].mlp)
     else:
-        part, _ = model._apply(layer, kind, cond, h[idx])
-        with pytest.raises(ValueError, match="only self-attention takes row ids"):
-            model._apply(layer, kind, cond, h, rows=idx)
-    assert np.array_equal(part, full[idx])
+        want = h @ model.out_proj
+    assert np.array_equal(full, want)
 
 
 @pytest.mark.parametrize("with_ws", [False, True], ids=["new", "ws"])
@@ -360,8 +374,8 @@ def test_apply_rows_match_full_rows(kind):
 def test_out_of_range_rows_are_rejected(kind, with_ws):
     """Row ids outside [0, N) raise instead of clipping or wrapping to another token.
 
-    Self-attention checks its query ids; for every other kind the gather
-    that picks a partial call's rows checks them.
+    Self-attention checks its query ids; for every other kind _apply's
+    gather of a partial call's rows checks them.
     """
     c = cfg(text_tokens=3)
     model = init_model(c, seed=5)
@@ -371,10 +385,7 @@ def test_out_of_range_rows_are_rejected(kind, with_ws):
     ws = Workspace() if with_ws else None
 
     def part(rows):
-        if kind == KIND_SELF:
-            return model._apply(layer, kind, cond, h, rows=rows, ws=ws)[0]
-        gathered = toca_model._take_rows(h, rows, toca_model._buffer(ws, "rows", 4, 8))
-        return model._apply(layer, kind, cond, gathered, ws=ws)[0]
+        return model._apply(layer, kind, cond, h, rows=rows, ws=ws)[0]
 
     for rows in ([7], [-1], [0, 4], np.array([3, -4])):
         with pytest.raises(IndexError):
@@ -673,7 +684,7 @@ def test_site_hook_sees_every_stream():
         stream = model.input_stream(x, 2.0, cond)
         for layer, kind, streams in seen[:-1]:
             assert np.array_equal(streams[h], stream)
-            stream = stream + model._apply(layer, kind, cond, layer_norm_rows(stream))[0]
+            stream = stream + model._apply(layer, kind, cond, stream)[0]
         assert np.array_equal(seen[-1][2][h], stream)
         assert np.array_equal(eps[h].values, model._apply(c.depth, KIND_FINAL, cond, stream)[0])
 

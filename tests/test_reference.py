@@ -29,6 +29,10 @@ STEPS = 20
 SCHEDULES = {
     **{name: PROFILES[name] for name in ("naive-full", "toca-dit", "toca-pixart", "off")},
     "uniform": CacheSchedule(ratio=0.7, cycle=3, lam3=0.25, grid_size=2),
+    # partial dispatches that read no map: the engine keeps no s1/s2 aggregate
+    "age-only": CacheSchedule(
+        ratio=0.7, cycle=3, lam1=0.0, lam2=0.0, lam3=1.0, lam4=0.0, grid_size=2
+    ),
 }
 # (text tokens, sampler, guidance, coupled)
 MODES = {

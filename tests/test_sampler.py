@@ -13,10 +13,11 @@ from toca import (
     ddim_step,
     ddpm_step,
     init_model,
+    linalg,
     run_generation,
 )
 from toca.cache import dispatch_plan
-from toca.model import KIND_FINAL
+from toca.model import KIND_FINAL, FeatureMatrix
 
 
 def toy():
@@ -174,10 +175,6 @@ def test_run_generation_guidance_matches_manual_combination():
     guided, _ = run_generation(model, cond, ns, seed=5, guidance=w)
 
     null = Conditioning.null_for(c)
-    x = None
-    from toca import linalg
-    from toca.model import FeatureMatrix
-
     x = linalg.gaussian((c.n_tokens, c.hidden), 1.0, np.random.SeedSequence((5, 0)))
     for step in range(total):
         t = total - step
@@ -308,3 +305,53 @@ def test_toca_pixart_on_text_models_is_naive_full_at_cycle_two(size, sampler, gu
     assert any(0 < e.cached < c.n_tokens for e in stats.events)
     assert x0.values.tobytes() == want_x0.values.tobytes()
     assert [e.tobytes() for e in stats.eps_history] == [e.tobytes() for e in want_stats.eps_history]
+
+
+def _strided_ddim(model, cond, ns, k, seed, guidance):
+    """DDIM that steps t -> max(t - k, 0), with a fresh eps at t each time."""
+    c = model.config
+    x = linalg.gaussian((c.n_tokens, c.hidden), 1.0, np.random.SeedSequence((seed, 0)))
+    t = ns.total_steps
+    while t > 0:
+        fm = FeatureMatrix(x, c.grid)
+        eps = model.forward(fm, float(t), cond).values
+        if guidance is not None:
+            eps_u = model.forward(fm, float(t), Conditioning.null_for(c)).values
+            eps = cfg_combine(eps_u, eps, guidance)
+        s = max(t - k, 0)
+        abar_t, abar_s = ns.alpha_bar(t), ns.alpha_bar(s)
+        x0 = (x - np.sqrt(1.0 - abar_t) * eps) / np.sqrt(abar_t)
+        x = np.sqrt(abar_s) * x0 + np.sqrt(1.0 - abar_s) * eps
+        t = s
+    return x
+
+
+def _rel_l2(x, want):
+    return float(np.linalg.norm(x - want) / np.linalg.norm(want))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("guidance", [None, 4.0], ids=["unguided", "guided"])
+@pytest.mark.parametrize("text_tokens", [0, 6], ids=["class", "text"])
+def test_naive_full_at_cycle_k_on_ddim_is_k_strided_ddim(text_tokens, guidance, k):
+    """Every cached step reuses the last fresh eps, and k DDIM steps on one eps are one k-step."""
+    c = ModelConfig(4, 32, 4, 8, 8, text_tokens=text_tokens)
+    model = init_model(c, seed=3)
+    cond = Conditioning.random_text(c, 5) if text_tokens else Conditioning.random_class(c, 5)
+    ns = NoiseSchedule.linear(20)
+    sched = dataclasses.replace(PROFILES["naive-full"], cycle=k)
+    x0, _ = run_generation(model, cond, ns, sched, seed=7, sampler="ddim", guidance=guidance)
+    assert _rel_l2(x0.values, _strided_ddim(model, cond, ns, k, 7, guidance)) < 1e-12
+
+
+def test_toca_pixart_on_a_one_layer_text_model_is_two_strided_ddim():
+    """The head computes every row at the 10 fresh steps and none at the other 10."""
+    c = ModelConfig(1, 128, 8, 16, 16, 16)
+    model, cond = init_model(c, seed=3), Conditioning.random_text(c, 5)
+    ns = NoiseSchedule.linear(20)
+    x0, stats = run_generation(
+        model, cond, ns, PROFILES["toca-pixart"], seed=7, sampler="ddim", guidance=4.0
+    )
+    heads = [e.computed for e in stats.events if e.kind == KIND_FINAL]
+    assert heads == [c.n_tokens, 0] * 10
+    assert _rel_l2(x0.values, _strided_ddim(model, cond, ns, 2, 7, 4.0)) < 1e-12
