@@ -316,9 +316,9 @@ def score_s3(counters: np.ndarray, cycle_len: int) -> np.ndarray:
     if cycle_len < 1:
         raise ValueError("cycle_len must be >= 1")
     c = np.asarray(counters)
-    if np.any(c < 0):
+    if c.size and c.min() < 0:
         raise ValueError("counters must be non-negative")
-    return c.astype(np.float64) / float(cycle_len)
+    return np.true_divide(c, float(cycle_len), dtype=np.float64)
 
 
 def apply_spatial_boost(
@@ -340,30 +340,33 @@ def apply_spatial_boost(
         raise ValueError("grid_size must be >= 1")
     if g > min(h, w):
         raise ValueError(f"grid_size {g} exceeds grid {grid}")
-    cells = _boost_cells(h, w, g)
-    idx = cells[np.arange(cells.shape[0]), base[cells].argmax(axis=1)]
+    cells, first = _boost_cells(h, w, g)
+    idx = cells.take(first + base[cells].argmax(axis=1))
     boosted = base.copy()
-    boosted[idx] = base[idx] * (1.0 + lam4)
+    boosted[idx] *= 1.0 + lam4  # winners are unique, so each is scaled once
     return boosted
 
 
 @functools.lru_cache(maxsize=64)
-def _boost_cells(h: int, w: int, g: int) -> np.ndarray:
-    """Flat token ids of every G x G cell of an h x w grid, one row per cell.
+def _boost_cells(h: int, w: int, g: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat token ids of every G x G cell of an h x w grid, and each cell's offset.
 
+    The ids hold one row per cell; ``first[i]`` is row i's offset into the
+    flattened ids, so ``ids.take(first + j)`` reads entry j[i] of row i.
     Cells run row-major over the grid and ids row-major within a cell, so a
     row's first argmax is the cell's lowest flat index among ties. Cells cut
     by the right/bottom edge are padded with their top-left id: a padded
     entry equals the top-left score, which precedes it, so it never wins.
-    The array is read-only and shared by every call with the same grid.
+    The arrays are read-only and shared by every call with the same grid.
     """
     ch, cw = (h + g - 1) // g, (w + g - 1) // g
     rr = np.arange(ch * g).reshape(ch, 1, g, 1)
     cc = np.arange(cw * g).reshape(1, cw, 1, g)
     ids = rr * w + cc
     ids = np.where((rr < h) & (cc < w), ids, ids[:, :, :1, :1]).reshape(ch * cw, g * g)
-    ids.flags.writeable = False
-    return ids
+    first = np.arange(0, ids.size, g * g)
+    ids.flags.writeable = first.flags.writeable = False
+    return ids, first
 
 
 # -- selection and slots ---------------------------------------------------
@@ -387,10 +390,11 @@ def select_compute_set(scores, r_eff: float) -> ComputeMask:
         raise ValueError("scores must be a vector")
     n = s.shape[0]
     n_cache = cache_token_count(r_eff, n)
-    order = np.argsort(s, kind="stable")
-    cache_idx = np.sort(order[:n_cache])
-    compute_idx = np.sort(order[n_cache:])
-    return ComputeMask(compute_idx=compute_idx, cache_idx=cache_idx)
+    order = s.argsort(kind="stable")
+    cache_idx, compute_idx = order[:n_cache], order[n_cache:]
+    cache_idx.sort()  # each slice in place: the two are disjoint views of order
+    compute_idx.sort()
+    return ComputeMask(compute_idx, cache_idx)
 
 
 def cached_layer_apply(fn, x: np.ndarray, mask: ComputeMask, slot_values: np.ndarray):
@@ -501,7 +505,9 @@ class CacheContext:
         if sched.lam2 > 0 and stats_layer in store.cross_entropy:
             base += sched.lam2 * store.cross_entropy[stats_layer]
         if sched.lam3 > 0:
-            base += sched.lam3 * score_s3(store.counters[layer, kind], self._cycle_len[self.step])
+            s3 = score_s3(store.counters[layer, kind], self._cycle_len[self.step])
+            s3 *= sched.lam3  # s3 is a new array, so it is scaled in place, not copied
+            base += s3
         return apply_spatial_boost(base, self.config.grid, sched.grid_size, sched.lam4)
 
     def dispatch(self, layer: int, kind: str, xs: list, fns: list) -> list:

@@ -161,13 +161,21 @@ def _weights_digest(path: str | None) -> str:
         raise ConfigError(f"[model] weights {path}: {e}") from e
 
 
+_UNSET = object()  # a _Setting's default when it names none
+
+
 class _Setting(NamedTuple):
-    """How one INI key is read, written back and hashed."""
+    """How one INI key is read, written back and hashed.
+
+    A key that names its ``default`` stays out of the hash while it holds
+    that default, so adding one moves no provenance id already stamped.
+    """
 
     attr: str  # RunConfig attribute; "model." and "cache." reach into those dataclasses
     conv: Callable[[str], object]  # raw INI text -> value; raises ValueError
     what: str  # what conv accepts, for error messages
     digest: Callable[[object], str] | None = str  # value -> hash text; None keeps it out
+    default: object = _UNSET
 
 
 # CacheSchedule fields are read by the type of their default; the None
@@ -335,18 +343,20 @@ def dump_config(rc: RunConfig) -> str:
 def canonical_items(rc: RunConfig) -> dict[str, str]:
     """Flat mapping of the settings that define a run's outputs.
 
-    Each table entry with a digest enters: most values by ``str``, cache
-    fields by ``repr``, and a weights file by the sha256 of its bytes. Noop
-    cache schedules normalize to the off profile so caching spelled as
-    ratio = 0 hashes like caching turned off.
+    Each table entry with a digest enters, unless it names a default and
+    holds it: most values by ``str``, cache fields by ``repr``, and a weights
+    file by the sha256 of its bytes. Noop cache schedules normalize to the
+    off profile so caching spelled as ratio = 0 hashes like caching turned
+    off.
     """
     if rc.cache.is_noop:
         rc = replace(rc, cache=CacheSchedule())
-    return {
-        f"{section}.{key}": s.digest(attrgetter(s.attr)(rc))
-        for (section, key), s in _SETTINGS.items()
-        if s.digest is not None
-    }
+    items = {}
+    for (section, key), s in _SETTINGS.items():
+        value = attrgetter(s.attr)(rc)
+        if s.digest is not None and (s.default is _UNSET or value != s.default):
+            items[f"{section}.{key}"] = s.digest(value)
+    return items
 
 
 def run_config_hash(rc: RunConfig) -> str:

@@ -57,10 +57,14 @@ def test_a_metric_missing_on_one_side_counts_in_no_pair():
 SPEC = {"gen_s.min": (0.25, "lower"), "peak_rss_mb": (0.1, "lower")}
 
 
-def _verdicts(parent_gens, change_gens):
+def _summary(parent_gens, change_gens):
     pairs = [_pair(i + 1, _line(p, 80.0), _line(c, 80.0)) for i, (p, c) in
              enumerate(zip(parent_gens, change_gens))]
-    s = abpairs.summarize(pairs, SPEC)["mid-off"]
+    return abpairs.summarize(pairs, SPEC)
+
+
+def _verdicts(parent_gens, change_gens):
+    s = _summary(parent_gens, change_gens)["mid-off"]
     return s["gen_s.min"]["verdict"], s["peak_rss_mb"]["verdict"]
 
 
@@ -94,3 +98,29 @@ def test_the_report_prints_each_verdict_and_reads_the_benchmark(tmp_path):
     s = abpairs.summarize([_pair(1, _line(1.0, 80.0), _line(2.0, 80.0))], spec)
     assert "verdict" not in s["mid-off"]["peak_rss_mb"]
     assert abpairs.report(s).splitlines()[1].endswith("worse")
+
+
+def _gain(parent_gens, change_gens):
+    s = _summary(parent_gens, change_gens)
+    return s["mid-off"]["gen_s.min"]["gain"], abpairs.report(s).splitlines()[1]
+
+
+def test_nine_wins_and_a_tie_out_of_ten_is_a_gain():
+    won, line = _gain([10.0] * 10, [9.0] * 9 + [10.0])
+    assert won and line.endswith("no worse  gain")
+
+
+def test_eight_wins_out_of_ten_is_no_gain():
+    won, line = _gain([10.0] * 10, [9.0] * 8 + [11.0] * 2)
+    assert not won and line.endswith("no worse")
+
+
+def test_ten_wins_inside_the_parents_spread_is_no_gain():
+    parent = [float(p) for p in range(1, 11)]  # IQR 3.25-7.75
+    won, _ = _gain(parent, [p - 0.1 for p in parent])
+    assert not won
+
+
+def test_gain_reads_the_direction_of_better():
+    pairs = [(10.0, 11.0)] * 10
+    assert abpairs.gain(pairs, "higher") and not abpairs.gain(pairs, "lower")

@@ -1,6 +1,7 @@
 import configparser
 import math
 import re
+from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
 
@@ -9,13 +10,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toca import cli, linalg
+from toca import cli, config, linalg
 from toca.config import (
     _SETTINGS,
     ALPHA_BAR_FLOOR,
     MAX_STEPS,
     SCALE_LIMIT,
     ConfigError,
+    RunConfig,
     canonical_items,
     default_config,
     dump_config,
@@ -343,6 +345,27 @@ def test_every_key_reaches_the_hash(tmp_path):
             assert h == base_hash
         else:
             assert h != base_hash, f"[{section}] {key} does not reach the hash"
+
+
+@dataclass
+class _ConfigWithKnob(RunConfig):
+    knob: float = 0.5
+
+
+@pytest.mark.parametrize("profile", ["off", "toca-dit"])
+def test_a_key_that_names_its_default_moves_the_hash_only_off_it(monkeypatch, profile):
+    text = f"[cache]\nprofile = {profile}\n"
+    plain = run_config_hash(parse_config_string(text))
+    monkeypatch.setattr(config, "default_config", _ConfigWithKnob)
+    knob = config._Setting("knob", float, "a number", default=0.5)
+    monkeypatch.setitem(_SETTINGS, ("sampler", "knob"), knob)
+    at_default = parse_config_string(text + "[sampler]\nknob = 0.5\n")
+    assert run_config_hash(parse_config_string(text)) == run_config_hash(at_default) == plain
+    off = parse_config_string(text + "[sampler]\nknob = 0.25\n")
+    assert run_config_hash(off) != plain
+    # the dump still writes the key, and parses back to the same config
+    assert "knob = 0.5" in dump_config(at_default)
+    assert parse_config_string(dump_config(off)) == off
 
 
 def test_readme_lists_every_key_with_its_default():

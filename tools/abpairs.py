@@ -19,6 +19,11 @@ and ``better`` (read, never written):
   the parent;
 - ``no worse``: otherwise.
 
+A metric with a ``better`` direction also gets ``gain``, true when the
+change reads better in at least nine tenths of the pairs (a tie counts for
+neither side) and its median beats the parent's median by more than the
+parent's interquartile range; the report marks such a line ``gain``.
+
 Nothing under perfbench/ is read or written except by running run.py.
 """
 
@@ -88,13 +93,22 @@ def verdict(parent: list[float], change: list[float], bound: float, better: str)
     return "no worse"
 
 
+def gain(vs: list[tuple[float, float]], better: str) -> bool:
+    """Whether (parent, change) pairs show a gain for one metric (see the module doc)."""
+    sign = 1 if better == "lower" else -1
+    wins = sum(sign * (p - c) > 0 for p, c in vs)
+    q1, med, q3 = quartiles([p for p, _ in vs])
+    beats_spread = sign * (med - statistics.median(c for _, c in vs)) > q3 - q1
+    return 10 * wins >= 9 * len(vs) and beats_spread
+
+
 def summarize(pairs: list[dict], spec: dict | None = None) -> dict:
     """Per workload and metric: the parent's quartiles, the change's median, pairs lower.
 
     ``pairs`` holds, per pair, each side's list of runs (run_one's dicts).
     Only pairs in which both sides report a metric count for it; ``failed``
     sums the failed operations of every run. A metric that ``spec``
-    (end_to_end's map) names also gets its verdict.
+    (end_to_end's map) names also gets its verdict and gain.
     """
     values: dict = {}  # (workload, metric) -> [(parent, change)]
     failed = {side: 0 for side in SIDES}
@@ -122,7 +136,9 @@ def summarize(pairs: list[dict], spec: dict | None = None) -> dict:
             "pairs": len(vs),
         }
         if spec and metric in spec:
-            summary[name][metric]["verdict"] = verdict(parent, [c for _, c in vs], *spec[metric])
+            bound, better = spec[metric]
+            summary[name][metric]["verdict"] = verdict(parent, [c for _, c in vs], bound, better)
+            summary[name][metric]["gain"] = gain(vs, better)
     return summary
 
 
@@ -138,6 +154,7 @@ def report(summary: dict) -> str:
                 f"{name:<16} {metric:<12} parent {med:.6g} [IQR {q1:.6g}-{q3:.6g}]  "
                 f"change {s['change_median']:.6g}  lower in {s['change_lower_in_pairs']}"
                 f"/{s['pairs']}" + (f"  {s['verdict']}" if "verdict" in s else "")
+                + ("  gain" if s.get("gain") else "")
             )
     return "\n".join(lines)
 
