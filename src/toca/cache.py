@@ -561,7 +561,7 @@ class CacheContext:
         try:
             model.each_half(
                 self.config, kind, event.computed, self.batch,
-                lambda h: self._serve(h, layer, kind, xs[h], fns[h], masks[h]),
+                functools.partial(self._serve, key, xs, fns, masks),
             )
         except BaseException:  # slots left unfilled or stale: no later dispatch may serve them
             for store in self.stores:
@@ -571,23 +571,29 @@ class CacheContext:
             self.mask_log.append((self.step, layer, kind, [m.compute_idx for m in masks]))
         return [store.values[key] for store in self.stores]
 
-    def _serve(self, h: int, layer: int, kind: str, x, fn, mask: ComputeMask) -> None:
-        """Half h's share of a dispatch: its module call fn(x, rows=None), splice and bookkeeping.
+    def _serve(self, key: tuple, xs: list, fns: list, masks: list, h: int) -> None:
+        """Half h's share of a dispatch: its module call fns[h](xs[h]), splice and bookkeeping.
 
         Touches only half h's store and row of cache_counts, so a pair's halves
-        may run on two threads; fn's output is copied at once, so it may be scratch.
+        may run on two threads; the module's output is copied at once, so it
+        may be scratch. Full reuse calls nothing: whole-array adds age every
+        counter, as cache_update over every index would.
         """
         store = self.stores[h]
-        key = (layer, kind)
+        mask = masks[h]
         if mask is self._compute_all:  # n_cache == 0: compute every token
-            out, attn = fn(x)
+            out, attn = fns[h](xs[h])
             np.copyto(store.values[key], out)
             store.counters[key].fill(0)
+            layer, kind = key
             if kind == KIND_SELF and self.schedule.lam1 > 0:  # kept only if score reads it
                 store.attn_influence[layer] = score_s1(attn)
             elif kind == KIND_CROSS and self.schedule.lam2 > 0:
                 store.cross_entropy[layer] = score_s2(attn)
+        elif mask is self._cache_all:
+            store.counters[key] += 1
+            self.cache_counts[h] += 1
         else:
-            cached_layer_apply(fn, x, mask, store.values[key])
+            cached_layer_apply(fns[h], xs[h], mask, store.values[key])
             cache_update(store.counters[key], mask)
             self.cache_counts[h][mask.cache_idx] += 1

@@ -33,13 +33,14 @@ def softmax_rows(m, out=None) -> np.ndarray:
     element found has the max's value; among tied maxima only a +0/-0 tie
     can pick a different sign, and x - (+0) and x - (-0) differ only for
     x = -0, where exp gives 1 either way; a row holding NaN has its first
-    NaN as argmax and stays NaN.
+    NaN as argmax and stays NaN. The row sums are ``np.add.reduce``, the
+    pairwise sum ``ndarray.sum`` calls, without that method's Python wrapper.
     """
     m = as_matrix(m)
     top = m[np.arange(m.shape[0]), m.argmax(axis=1)][:, None]
     out = np.subtract(m, top, out=out)
     np.exp(out, out=out)
-    out /= out.sum(axis=1, keepdims=True)
+    out /= np.add.reduce(out, 1, keepdims=True)
     return out
 
 

@@ -18,6 +18,7 @@ a whole trajectory, so steady-state steps allocate no (N, D) array per module.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -206,17 +207,21 @@ class GroupWeights:
 
 
 def timestep_embedding(t: float, dim: int, scale: float = 1.0) -> np.ndarray:
-    """Sinusoidal embedding of the diffusion timestep, length ``dim``."""
+    """Sinusoidal embedding of the diffusion timestep, length ``dim``; a new array."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    half = (dim + 1) // 2
-    if half > 1:
-        freqs = np.exp(-math.log(10000.0) * np.arange(half) / (half - 1))
-    else:
-        freqs = np.ones(1)
-    angles = float(t) * freqs
+    angles = float(t) * _frequencies(dim)
     emb = np.concatenate([np.sin(angles), np.cos(angles)])[:dim]
     return scale * emb
+
+
+@functools.cache
+def _frequencies(dim: int) -> np.ndarray:
+    """timestep_embedding's (dim + 1) // 2 frequencies, made once per dim and read-only."""
+    half = (dim + 1) // 2
+    freqs = np.exp(-math.log(10000.0) * np.arange(half) / (half - 1)) if half > 1 else np.ones(1)
+    freqs.flags.writeable = False
+    return freqs
 
 
 class Workspace:
@@ -404,21 +409,19 @@ def _start_worker(caller_cpu: int | None) -> None:
             pass
 
 
-def _buffer(ws: Workspace | None, name, m: int, n: int) -> np.ndarray:
-    """An (m, n) buffer from ``ws``, or a new array without one."""
-    return np.empty((m, n)) if ws is None else ws.take(name, m, n)
-
-
 def layer_norm_rows(x: np.ndarray, eps: float = 1e-6, out=None, ws=None) -> np.ndarray:
     """Parameter-free layer norm over the feature axis.
 
     Bitwise ``(x - x.mean(1)) / sqrt(x.var(1) + eps)``, written into the
-    squared deviations (``out``, if given) instead of a third matrix.
+    squared deviations (``out``, if given) instead of a third matrix, with
+    ``np.add.reduce``, ``ndarray.sum``'s pairwise sum without its Python
+    wrapper. Buffers come from ``ws``, or a workspace made for the call.
     """
     n, d = x.shape
-    centred = np.subtract(x, x.sum(axis=1, keepdims=True) / d, out=_buffer(ws, "centred", n, d))
-    out = np.square(centred, out=_buffer(ws, "normed", n, d) if out is None else out)
-    denom = out.sum(axis=1, keepdims=True) / d
+    ws = Workspace() if ws is None else ws
+    centred = np.subtract(x, np.add.reduce(x, 1, keepdims=True) / d, out=ws.take("centred", n, d))
+    out = np.square(centred, out=ws.take("normed", n, d) if out is None else out)
+    denom = np.add.reduce(out, 1, keepdims=True) / d
     denom += eps
     np.sqrt(denom, out=denom)
     return np.divide(centred, denom, out=out)
@@ -435,12 +438,12 @@ def _take_rows(x: np.ndarray, rows, out: np.ndarray) -> np.ndarray:
     return np.take(x, idx, axis=0, out=out[: idx.shape[0]], mode="clip")
 
 
-def _by_rows(block_flops, kernel, rows: tuple, *shared) -> None:
+def _by_rows(row_flops: int, kernel, rows: tuple, *shared) -> None:
     """kernel(*rows, *shared), or rows [0, m // 2) here and [m // 2, m) on the worker.
 
     The row mode of the worker rule: the call splits when each block holds
-    at least _SPLIT_MIN_ROWS rows and block_flops(m // 2), the FLOPs of the
-    smaller block, pays (_split_pays). ``rows`` are arrays over the same m
+    at least _SPLIT_MIN_ROWS rows and the smaller block's FLOPs, row_flops
+    times m // 2, pay (_split_pays). ``rows`` are arrays over the same m
     query rows; both blocks read ``shared``. A kernel writes only the rows
     it is given, with each row's arithmetic that of the unsplit call, so no
     output bit depends on the split. The row floor keeps it so: on OpenBLAS,
@@ -449,7 +452,7 @@ def _by_rows(block_flops, kernel, rows: tuple, *shared) -> None:
     matched from 16 rows up.
     """
     half = rows[0].shape[0] // 2
-    if half >= _SPLIT_MIN_ROWS and _split_pays(block_flops(half)):
+    if half >= _SPLIT_MIN_ROWS and _split_pays(row_flops * half):
         run_halves(lambda h: kernel(*(r[half:] if h else r[:half] for r in rows), *shared))
     else:
         kernel(*rows, *shared)
@@ -471,22 +474,22 @@ def _attend(xq, kv, weights: AttnWeights, heads: int, counter: FlopCounter | Non
     per group. Outputs are bitwise those of a per-head loop: each head's
     matmuls see the same strided operands, and heads enter the map in order
     0..H-1. Returns the projected output (m, d) and the head-averaged
-    attention map (m, n), both in ``ws`` when given, like every intermediate.
+    attention map (m, n), both in ``ws``, like every intermediate.
 
     Keys and values are projected here, once; the query rows then run as
     one block or, under the worker rule's row mode, as two (_by_rows), each
     on its own rows of q, the head outputs, the map and the output, and with
     its own logits stack in its rows of one (m, g * n) buffer. This thread
     takes every buffer, at the unsplit size, and a block's FLOPs leave out
-    the key/value projections.
+    the key/value projections: they are linear in its rows.
     """
     m, d = xq.shape
     n = kv.shape[0]
     if d % heads != 0:
         raise ValueError(f"hidden size {d} not divisible by {heads} heads")
-    q = _buffer(ws, "q", m, d)
-    k = np.matmul(kv, weights.wk, out=_buffer(ws, "k", n, d))
-    v = np.matmul(kv, weights.wv, out=_buffer(ws, "v", n, d))
+    q = ws.take("q", m, d)
+    k = np.matmul(kv, weights.wk, out=ws.take("k", n, d))
+    v = np.matmul(kv, weights.wv, out=ws.take("v", n, d))
     dh = d // heads
     if counter is not None:
         counter.matmul(m, d, d)
@@ -501,17 +504,15 @@ def _attend(xq, kv, weights: AttnWeights, heads: int, counter: FlopCounter | Non
     # k as (H, dh, n) and v as (H, n, dh): neither view copies
     k3 = k.reshape(n, heads, dh).transpose(1, 2, 0)
     v3 = v.reshape(n, heads, dh).transpose(1, 0, 2)
-    out_heads = _buffer(ws, "heads", m, d)
-    attn_sum = _buffer(ws, "map", m, n)
+    out_heads = ws.take("heads", m, d)
+    attn_sum = ws.take("map", m, n)
     g = max(1, min(heads, _LOGITS_BUDGET // max(1, m * n)))
     # (m, g * n): a block's rows of it hold the block's own (g * rows, n) stack
-    logits = _buffer(ws, "logits", m, g * n)
-    out = _buffer(ws, "out", m, d)
+    logits = ws.take("logits", m, g * n)
+    out = ws.take("out", m, d)
     rows = (xq, q, out_heads, attn_sum, out, logits)
-    _by_rows(
-        lambda r: flops_cross_attention(r, n, d, heads) - flops_cross_attention(0, n, d, heads),
-        _attend_rows, rows, k3, v3, weights, g,
-    )
+    row_flops = flops_cross_attention(1, n, d, heads) - flops_cross_attention(0, n, d, heads)
+    _by_rows(row_flops, _attend_rows, rows, k3, v3, weights, g)
     return out, attn_sum
 
 
@@ -533,13 +534,12 @@ def _attend_rows(xq, q, out_heads, attn_sum, out, logits, k3, v3, weights: AttnW
         a *= scale
         linalg.softmax_rows(a, out=a)
         np.matmul(a3, v3[h0:h1], out=o3[h0:h1])
-        # float addition is not associative: heads enter the map one at a
-        # time, in order, as np.sum does along the stacked axis
+        # float addition is not associative: heads enter the map one at a time,
+        # in order, head 0 copied in (np.sum over the stack: same bits, slower)
         if h0 == 0:
-            np.sum(a3, axis=0, out=attn_sum)
-        else:
-            for j in range(h1 - h0):
-                attn_sum += a3[j]
+            np.copyto(attn_sum, a3[0])
+        for j in range(1 if h0 == 0 else 0, h1 - h0):
+            attn_sum += a3[j]
     attn_sum /= heads
     np.matmul(out_heads, weights.wo, out=out)
 
@@ -559,11 +559,11 @@ def self_attention_forward(
     than its queries, so the only one that takes row ids. Returns the module
     output together with the head-averaged attention map (rows = queries,
     columns = tokens). The output, the map and every intermediate go to
-    ``ws`` when given, new arrays otherwise. A call large enough may run its
-    query rows as two blocks on two threads (_attend).
+    ``ws``, or to a workspace made for the call. A call large enough may run
+    its query rows as two blocks on two threads (_attend).
     """
-    x = linalg.as_matrix(x)
-    xq = x if rows is None else _take_rows(x, rows, _buffer(ws, "rows", len(rows), x.shape[1]))
+    x, ws = linalg.as_matrix(x), Workspace() if ws is None else ws
+    xq = x if rows is None else _take_rows(x, rows, ws.take("rows", len(rows), x.shape[1]))
     return _attend(xq, x, weights, heads, counter, ws)
 
 
@@ -587,7 +587,7 @@ def cross_attention_forward(
         raise ValueError("cross-attention needs at least one text token")
     if text.shape[1] != x.shape[1]:
         raise ValueError(f"text hidden size {text.shape[1]} != {x.shape[1]}")
-    return _attend(x, text, weights, heads, counter, ws)
+    return _attend(x, text, weights, heads, counter, Workspace() if ws is None else ws)
 
 
 def mlp_forward(
@@ -598,17 +598,17 @@ def mlp_forward(
 ) -> np.ndarray:
     """Token-wise two-layer MLP with a ReLU between the projections, on every row of x.
 
-    The output and the hidden layer go to ``ws`` when given. A call large
-    enough may run its rows as two blocks on two threads (_by_rows), each on
-    its own rows of the hidden layer and the output.
+    The output and the hidden layer go to ``ws`` (or a workspace made for the
+    call). A call large enough may run its rows as two blocks on two threads
+    (_by_rows), each on its own rows of the hidden layer and the output.
     """
-    x = linalg.as_matrix(x)
+    x, ws = linalg.as_matrix(x), Workspace() if ws is None else ws
     m, d = x.shape
     d2 = weights.w1.shape[1]
     # the hidden layer shares its workspace memory with the attention logits
-    h = _buffer(ws, "logits", m, d2)
-    out = _buffer(ws, "out", m, d)
-    _by_rows(lambda r: flops_mlp(r, d), _mlp_rows, (x, h, out), weights)
+    h = ws.take("logits", m, d2)
+    out = ws.take("out", m, d)
+    _by_rows(flops_mlp(1, d), _mlp_rows, (x, h, out), weights)
     if counter is not None:
         counter.matmul(m, d, d2)
         counter.activation(m * d2)
@@ -664,11 +664,13 @@ class Model:
         the stream, and takes the row ids; any other kind gathers the rows
         into ws's "normed", normalises them there, and sees nothing else.
         The head reads the raw stream. The output and every intermediate go
-        to ``ws``, the scratch of the member the call serves. An attention or
-        MLP kernel decides its own row split (_by_rows); the head has none.
+        to ``ws``, the scratch of the member the call serves (a workspace made
+        for the call without one). An attention or MLP kernel decides its own
+        row split (_by_rows); the head has none.
         """
+        ws = Workspace() if ws is None else ws
         if rows is not None and kind != KIND_SELF:
-            x, rows = _take_rows(x, rows, _buffer(ws, "normed", *x.shape)), None
+            x, rows = _take_rows(x, rows, ws.take("normed", *x.shape)), None
             if kind != KIND_FINAL:
                 x = layer_norm_rows(x, out=x, ws=ws)
         elif kind != KIND_FINAL:
@@ -682,7 +684,7 @@ class Model:
         if kind == KIND_MLP:
             return mlp_forward(x, self.groups[layer].mlp, ws=ws), None
         if kind == KIND_FINAL:
-            return np.matmul(x, self.out_proj, out=_buffer(ws, "out", *x.shape)), None
+            return np.matmul(x, self.out_proj, out=ws.take("out", *x.shape)), None
         raise ValueError(f"unknown module kind {kind!r}")
 
     def forward(
@@ -719,18 +721,19 @@ class Model:
         included, is in ``ws.member(h)``, which its module callable passes
         to _apply, on whichever thread runs the call. The output stays
         valid until member h's next module call: under a context, the
-        context copies it into the slot it owns; without one, a block adds it
-        into the member's stream and the head copies it into the prediction
-        this thread allocated before the call. No buffer of ``ws`` outlives a
-        forward, so contexts may share one.
+        context copies it into the slot it owns. Then one loop on this
+        thread adds each member's output (the slot, or the scratch output
+        without a context) into its stream, or, at the head, copies it into
+        the returned prediction. No buffer of ``ws`` outlives a forward, so
+        contexts may share one.
 
         One rule, _split_pays, decides which module calls use the worker
         thread, in two modes, each evaluated where its split happens. Pair
         mode: each_half, called here without a context and from the
         context's dispatch under one, runs a pair's second half there while
-        the first runs here; half 1's layer norm, module call and output
-        handling then run on the worker, in ``ws.member(1)``, and half 1's
-        stream (without a context). Row mode: an attention or MLP kernel runs
+        the first runs here; half 1's layer norm, module call and, under a
+        context, the copy into its slot then run on the worker, in
+        ``ws.member(1)``. Row mode: an attention or MLP kernel runs
         a call large enough as two row blocks (_by_rows), the second there,
         into its rows of the member's buffers, which the calling thread
         took; the layer norm and the output's use stay on that thread. A
@@ -739,8 +742,9 @@ class Model:
         fns[h](x, rows=None). Each value is computed by the same arithmetic
         on either thread, so no output bit depends on the worker.
 
-        Member h's module callable is _apply bound to the site, conds[h] and
-        ws.member(h), called on the raw residual stream. Under a context,
+        Member h's module callable, made once per forward, calls _apply for
+        the site the loop is at, with conds[h] and ws.member(h), on the raw
+        residual stream; no closure is built per module call. Under a context,
         each dispatch gets the raw streams, and _apply normalises only the
         rows the module reads: all N for self-attention, whose keys and
         values span the stream, the computed rows for cross-attention and
@@ -765,36 +769,35 @@ class Model:
             raise ValueError("need one conditioning per input")
         if cache_ctx is not None and cache_ctx.batch != len(xs):
             raise ValueError(f"cache context batch {cache_ctx.batch} != {len(xs)} inputs")
-        if ws is None:
-            ws = Workspace()
+        ws = Workspace() if ws is None else ws
         n, d = cfg.n_tokens, cfg.hidden
         halves = range(len(xs))
         streams = [ws.take(("stream", h), n, d) for h in halves]
         for h in halves:
             self.input_stream(xs[h], t, conds[h], out=streams[h])
 
-        scratch = [ws.member(h) for h in halves]
+        apply, outs = self._apply, [None] * len(xs)
+        # member h's module callable, made once per forward: it runs the site
+        # the loop below is at, in member h's scratch
+        fns = [
+            lambda x, rows=None, cond=conds[h], s=ws.member(h): apply(layer, kind, cond, x, rows, s)
+            for h in halves
+        ]
 
-        def run(layer, kind, use):
-            """use(h, output) for every member h of one module call."""
-            fns = [
-                lambda x, rows=None, h=h: self._apply(layer, kind, conds[h], x, rows, scratch[h])
-                for h in halves
-            ]
-            if cache_ctx is not None:
-                for h, out in enumerate(cache_ctx.dispatch(layer, kind, streams, fns)):
-                    use(h, out)
-            else:  # an output is its member's scratch: used before the member's next call
-                each_half(cfg, kind, n, len(xs), lambda h: use(h, fns[h](streams[h])[0]))
+        def uncached(h):  # an output is its member's scratch: used before its next call
+            outs[h] = fns[h](streams[h])[0]
 
         for layer, kind in cfg.sites:
             if site_hook is not None:
                 site_hook(layer, kind, streams)
+            if cache_ctx is None:
+                each_half(cfg, kind, n, len(xs), uncached)
+            else:
+                outs[:] = cache_ctx.dispatch(layer, kind, streams, fns)
             if kind == KIND_FINAL:
-                eps = [np.empty((n, d)) for _ in halves]
-                run(layer, kind, lambda h, out: np.copyto(eps[h], out))
-                return [FeatureMatrix(e, cfg.grid) for e in eps]
-            run(layer, kind, lambda h, out: np.add(streams[h], out, out=streams[h]))
+                return [FeatureMatrix(out.copy(), cfg.grid) for out in outs]
+            for h in halves:
+                np.add(streams[h], outs[h], out=streams[h])
 
 
 def init_model(config: ModelConfig, seed: int, zero_init: bool = False) -> Model:

@@ -531,6 +531,48 @@ def test_dispatch_fresh_step_resets_everything():
         assert np.all(counters == step - fresh_origin)
 
 
+@pytest.mark.parametrize("batch, coupled", [(1, True), (2, True), (2, False)])
+def test_full_reuse_ages_every_counter_as_an_update_over_every_index(batch, coupled):
+    """A dispatch that caches every token ages its site with whole-array adds.
+
+    Each member's counters and its row of cache_counts equal a shadow kept
+    with the per-index formula, counters[arange(N)] += 1 (reset to 0 at fresh
+    steps), over several cycles and at every site; the module never runs.
+    """
+    rng = np.random.default_rng(3)
+    n, steps = 4, 10
+    ctx = _ctx(neutral(ratio=1.0, cycle=3, cfg_coupled=coupled), total_steps=steps,
+               depth=2, batch=batch)
+    every = np.arange(n)
+    shadow = {(h, site): np.zeros(n, dtype=np.int64)
+              for h in range(batch) for site in ctx.config.sites}
+    shadow_counts = np.zeros((batch, n), dtype=np.int64)
+    calls = []
+
+    def module(x, rows=None):
+        assert rows is None  # full reuse never computes rows
+        calls.append(ctx.step)
+        return rng.normal(size=(n, 8)), _stochastic_attn(rng, n)
+
+    for step in range(steps):
+        ctx.begin_step(step)
+        fresh = step in ctx.fresh_steps
+        for site in ctx.config.sites:
+            ctx.dispatch(*site, [None] * batch, [module] * batch)
+            for h in range(batch):
+                if fresh:
+                    shadow[h, site][:] = 0
+                else:
+                    shadow[h, site][every] += 1
+                    shadow_counts[h][every] += 1
+                got = ctx.stores[h].counters[site]
+                assert got.dtype == np.int64 and np.array_equal(got, shadow[h, site])
+        assert ctx.cache_counts.dtype == np.int64
+        assert np.array_equal(ctx.cache_counts, shadow_counts)
+    assert set(calls) == set(ctx.fresh_steps) == {0, 3, 6, 9}
+    assert shadow_counts.tolist() == [[6 * len(ctx.config.sites)] * n] * batch
+
+
 def test_dispatch_caching_nothing_at_a_non_fresh_step_refreshes_everything():
     """r_eff > 0 with floor(r_eff * N) = 0 runs the module on every token."""
     rng = np.random.default_rng(4)

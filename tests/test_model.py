@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -80,6 +81,34 @@ def test_timestep_embedding_scale_and_dim():
 
 def test_timestep_embedding_distinguishes_steps():
     assert not np.allclose(timestep_embedding(3.0, 8), timestep_embedding(4.0, 8))
+
+
+def _plain_timestep_embedding(t, dim, scale=1.0):
+    """The embedding's formula, computed afresh on every call."""
+    half = (dim + 1) // 2
+    freqs = np.exp(-math.log(10000.0) * np.arange(half) / (half - 1)) if half > 1 else np.ones(1)
+    angles = float(t) * freqs
+    return scale * np.concatenate([np.sin(angles), np.cos(angles)])[:dim]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 31, 32, 128])
+@pytest.mark.parametrize("t, scale", [(0.0, 1.0), (1.0, 1.0), (7.5, 0.5), (1000.0, 3.0)])
+def test_timestep_embedding_is_the_plain_formula_bitwise(t, dim, scale):
+    emb = timestep_embedding(t, dim, scale)
+    want = _plain_timestep_embedding(t, dim, scale)
+    assert emb.shape == (dim,) and emb.dtype == want.dtype
+    assert emb.tobytes() == want.tobytes()
+
+
+def test_timestep_embedding_returns_its_own_array_over_read_only_frequencies():
+    first = timestep_embedding(5.0, 9)
+    first[:] = np.nan  # a caller's edit reaches no later call
+    assert timestep_embedding(5.0, 9).tobytes() == _plain_timestep_embedding(5.0, 9).tobytes()
+    freqs = toca_model._frequencies(9)
+    assert freqs is toca_model._frequencies(9)  # made once per dim
+    assert not freqs.flags.writeable
+    with pytest.raises(ValueError):
+        freqs[0] = 2.0
 
 
 def test_layer_norm_rows_centers_and_scales():

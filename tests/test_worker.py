@@ -411,8 +411,8 @@ def test_split_rows_are_the_fewest_that_hold_the_floor_and_the_flops(monkeypatch
         call()
         return bool(trips)
 
-    def kernel_block_flops(c, kind):
-        """The block FLOPs the kernel of ``kind`` hands _by_rows on a full call."""
+    def kernel_row_flops(c, kind):
+        """The FLOPs per query row the kernel of ``kind`` hands _by_rows on a full call."""
         d, got = c.hidden, []
         x, text = np.zeros((c.n_tokens, d)), np.zeros((c.text_tokens, d))
         attn = tm.AttnWeights(*(np.zeros((d, d)) for _ in range(4)))
@@ -436,14 +436,14 @@ def test_split_rows_are_the_fewest_that_hold_the_floor_and_the_flops(monkeypatch
                 if pair:
                     fewest.setdefault((c, 2, kind), rows)
         for kind in c.group_kinds:  # the head has no row kernel
-            block_flops = kernel_block_flops(c, kind)
+            row_flops = kernel_row_flops(c, kind)
             for rows in range(c.n_tokens + 1):
                 block = rows // 2  # a row block's FLOPs leave out the K/V projections
                 flops = tm.call_flops(c, kind, block) - tm.call_flops(c, kind, 0)
-                assert block_flops(block) == flops
+                assert row_flops * block == flops
                 fits = block >= tm._SPLIT_MIN_ROWS and flops >= tm._SPLIT_FLOPS
                 blocks = (np.empty((rows, 0)),)
-                assert splits(lambda: by_rows(block_flops, lambda x: None, blocks)) == fits
+                assert splits(lambda: by_rows(row_flops, lambda x: None, blocks)) == fits
                 if fits:
                     fewest.setdefault((c, 1, kind), rows)
     mid = ModelConfig(depth=8, hidden=128, heads=8, grid_h=16, grid_w=16)
@@ -453,7 +453,7 @@ def test_split_rows_are_the_fewest_that_hold_the_floor_and_the_flops(monkeypatch
     with tm._worker_lock:  # held by another split: neither mode splits
         assert not splits(lambda: tm.each_half(mid, KIND_MLP, 256, 2, lambda h: None))
         blocks = (np.empty((256, 0)),)
-        assert not splits(lambda: by_rows(lambda r: tm._SPLIT_FLOPS, lambda x: None, blocks))
+        assert not splits(lambda: by_rows(tm._SPLIT_FLOPS, lambda x: None, blocks))
 
 
 class _OneSite:
