@@ -290,16 +290,18 @@ def score_s1(attn: np.ndarray, lam1: float = 1.0) -> np.ndarray:
     """Attention influence: lam1 times the column sums of a row-stochastic map.
 
     Token j's score is the total attention mass other tokens pay it, so the
-    scores sum to lam1 * (number of map rows).
+    scores sum to lam1 * (number of map rows). A row that does not sum to 1
+    within 1e-6, a NaN row included, raises. The sums are np.add.reduce,
+    what ndarray.sum calls, without its Python wrapper.
     """
     a = np.asarray(attn, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError("attention map must be 2-D")
-    dev = a.sum(axis=1)
+    dev = np.add.reduce(a, 1)
     dev -= 1.0
-    if np.abs(dev, out=dev).max() > 1e-6:
+    if not np.maximum.reduce(np.abs(dev, out=dev)) <= 1e-6:  # NaN compares False
         raise ValueError("attention map rows must sum to 1")
-    return lam1 * a.sum(axis=0)
+    return lam1 * np.add.reduce(a, 0)
 
 
 def score_s2(cross_attn: np.ndarray) -> np.ndarray:
@@ -316,7 +318,7 @@ def score_s3(counters: np.ndarray, cycle_len: int) -> np.ndarray:
     if cycle_len < 1:
         raise ValueError("cycle_len must be >= 1")
     c = np.asarray(counters)
-    if c.size and c.min() < 0:
+    if c.size and np.minimum.reduce(c, None) < 0:
         raise ValueError("counters must be non-negative")
     return np.true_divide(c, float(cycle_len), dtype=np.float64)
 

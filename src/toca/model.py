@@ -81,7 +81,7 @@ class ModelConfig:
     def mlp_hidden(self) -> int:
         return 4 * self.hidden
 
-    @property
+    @cached_property
     def grid(self) -> tuple[int, int]:
         return (self.grid_h, self.grid_w)
 
@@ -224,6 +224,13 @@ def _frequencies(dim: int) -> np.ndarray:
     return freqs
 
 
+@functools.lru_cache(maxsize=1024)
+def _embedding(t: float, dim: int, scale: float) -> np.ndarray:
+    """timestep_embedding(t, dim, scale), made once and read-only: input_stream's memo."""
+    (emb := timestep_embedding(t, dim, scale)).flags.writeable = False
+    return emb
+
+
 class Workspace:
     """Named float64 buffers that a forward reuses from call to call.
 
@@ -233,8 +240,9 @@ class Workspace:
     shape of a name shares that memory: a 256 x 256 self-attention map and a
     256 x 16 cross-attention map, or the attention logits and the MLP hidden
     layer, which are never live together. The next take of a name overwrites
-    what a view holds, so callers copy what they keep. run_generation builds
-    one per run. No thread owns one; one thread at a time takes from it. A
+    what a view holds, so callers copy what they keep. ``frame`` keeps a
+    kernel's per-shape views the same way. run_generation builds one per
+    run. No thread owns one; one thread at a time takes from it. A
     forward keeps each member's residual stream in it, and ``member(h)``
     holds member h's scratch: the layer norm, intermediates and output of
     every module call of that member, on whichever thread runs the call. A
@@ -245,6 +253,7 @@ class Workspace:
     def __init__(self) -> None:
         self._bufs: dict = {}  # name -> flat buffer
         self._views: dict[tuple, np.ndarray] = {}  # (name, m, n) -> view of it
+        self._frames: dict[tuple, object] = {}  # (builder, *shape) -> frame
         self._members: dict[int, Workspace] = {}  # h -> member h's scratch
 
     def member(self, h: int) -> Workspace:
@@ -259,11 +268,19 @@ class Workspace:
         if view is None:
             buf = self._bufs.get(name)
             if buf is None or buf.size < m * n:
-                if buf is not None:  # views of the dropped buffer would keep it alive
+                if buf is not None:  # views and frames of the dropped buffer would keep it alive
                     self._views = {k: v for k, v in self._views.items() if k[0] != name}
+                    self._frames = {k: f for k, f in self._frames.items() if name not in k[0].names}
                 buf = self._bufs[name] = np.empty(m * n)
             view = self._views[name, m, n] = buf[: m * n].reshape(m, n)
         return view
+
+    def frame(self, build, *shape):
+        """build(self, *shape), made at the first request and kept until a buffer in build.names regrows."""
+        frame = self._frames.get((build, *shape))
+        if frame is None:
+            frame = self._frames[build, *shape] = build(self, *shape)
+        return frame
 
 
 # The one worker thread that runs the second half of a split (an executor that
@@ -431,11 +448,11 @@ def _take_rows(x: np.ndarray, rows, out: np.ndarray) -> np.ndarray:
     """x[rows], gathered into the first rows of ``out``; an id outside [0, N) raises."""
     idx = np.asarray(rows, dtype=np.intp)
     # viewed as unsigned, a negative id exceeds any n: one max checks both ends
-    if idx.size and idx.view(np.uintp).max() >= x.shape[0]:
+    if idx.size and np.maximum.reduce(idx.view(np.uintp)) >= x.shape[0]:
         raise IndexError(f"row ids must lie in [0, {x.shape[0]})")
     # the ids are in range, so "clip" clips nothing; mode="raise" would stage
-    # the rows through a temporary
-    return np.take(x, idx, axis=0, out=out[: idx.shape[0]], mode="clip")
+    # the rows through a temporary. The method spares np.take's Python wrapper.
+    return x.take(idx, 0, out[: idx.shape[0]], "clip")
 
 
 def _by_rows(row_flops: int, kernel, rows: tuple, *shared) -> None:
@@ -456,6 +473,27 @@ def _by_rows(row_flops: int, kernel, rows: tuple, *shared) -> None:
         run_halves(lambda h: kernel(*(r[half:] if h else r[:half] for r in rows), *shared))
     else:
         kernel(*rows, *shared)
+
+
+class _AttendFrame:
+    """_attend's buffers, views and constants for m query rows against n key rows of width d."""
+
+    names = ("q", "k", "v", "head_out", "map", "logits", "out")
+
+    def __init__(self, ws: Workspace, m: int, n: int, d: int, heads: int):
+        self.n_heads, dh = heads, d // heads
+        self.g = max(1, min(heads, _LOGITS_BUDGET // max(1, m * n)))
+        # (m, g * n) logits: a block's rows of it hold the block's own (g * rows, n) stack
+        shapes = ((m, d), (n, d), (n, d), (m, d), (m, n), (m, self.g * n), (m, d))
+        self.q, self.k, self.v, self.head_out, self.map, self.logits, self.out = (
+            ws.take(name, *shape) for name, shape in zip(self.names, shapes))
+        # k as (H, dh, n) and v as (H, n, dh): neither view copies
+        self.k3 = self.k.reshape(n, heads, dh).transpose(1, 2, 0)
+        self.v3 = self.v.reshape(n, heads, dh).transpose(1, 0, 2)
+        self.rows = (self.q, self.head_out, self.map, self.out, self.logits)
+        self.row_flops = flops_cross_attention(1, n, d, heads) - flops_cross_attention(0, n, d, heads)
+        self.scale = 1.0 / math.sqrt(dh)
+        self.groups = _head_groups(self, self.q, self.head_out, self.logits)
 
 
 def _attend(xq, kv, weights: AttnWeights, heads: int, counter: FlopCounter | None, ws=None):
@@ -480,18 +518,18 @@ def _attend(xq, kv, weights: AttnWeights, heads: int, counter: FlopCounter | Non
     one block or, under the worker rule's row mode, as two (_by_rows), each
     on its own rows of q, the head outputs, the map and the output, and with
     its own logits stack in its rows of one (m, g * n) buffer. This thread
-    takes every buffer, at the unsplit size, and a block's FLOPs leave out
-    the key/value projections: they are linear in its rows.
+    takes every buffer and view, from ws's frame for the shape, and a block's
+    FLOPs leave out the key/value projections: they are linear in its rows.
     """
     m, d = xq.shape
     n = kv.shape[0]
     if d % heads != 0:
         raise ValueError(f"hidden size {d} not divisible by {heads} heads")
-    q = ws.take("q", m, d)
-    k = np.matmul(kv, weights.wk, out=ws.take("k", n, d))
-    v = np.matmul(kv, weights.wv, out=ws.take("v", n, d))
-    dh = d // heads
+    f = ws.frame(_AttendFrame, m, n, d, heads)
+    np.matmul(kv, weights.wk, out=f.k)
+    np.matmul(kv, weights.wv, out=f.v)
     if counter is not None:
+        dh = d // heads
         counter.matmul(m, d, d)
         counter.matmul(n, d, d)
         counter.matmul(n, d, d)
@@ -500,47 +538,52 @@ def _attend(xq, kv, weights: AttnWeights, heads: int, counter: FlopCounter | Non
             counter.softmax(m * n)
             counter.matmul(m, n, dh)
         counter.matmul(m, d, d)
-
-    # k as (H, dh, n) and v as (H, n, dh): neither view copies
-    k3 = k.reshape(n, heads, dh).transpose(1, 2, 0)
-    v3 = v.reshape(n, heads, dh).transpose(1, 0, 2)
-    out_heads = ws.take("heads", m, d)
-    attn_sum = ws.take("map", m, n)
-    g = max(1, min(heads, _LOGITS_BUDGET // max(1, m * n)))
-    # (m, g * n): a block's rows of it hold the block's own (g * rows, n) stack
-    logits = ws.take("logits", m, g * n)
-    out = ws.take("out", m, d)
-    rows = (xq, q, out_heads, attn_sum, out, logits)
-    row_flops = flops_cross_attention(1, n, d, heads) - flops_cross_attention(0, n, d, heads)
-    _by_rows(row_flops, _attend_rows, rows, k3, v3, weights, g)
-    return out, attn_sum
+    _by_rows(f.row_flops, _attend_rows, (xq, *f.rows), f, weights)
+    return f.out, f.map
 
 
-def _attend_rows(xq, q, out_heads, attn_sum, out, logits, k3, v3, weights: AttnWeights, g: int):
-    """_attend's work for the query rows xq, written into the same rows of the rest."""
-    m = xq.shape[0]
-    heads, dh, n = k3.shape
-    np.matmul(xq, weights.wq, out=q)
-    scale = 1.0 / math.sqrt(dh)
+def _head_groups(f: _AttendFrame, q, out_heads, logits) -> tuple:
+    """Per head group, the views _attend_rows uses for the rows of q, out_heads and logits.
+
+    A group's logits and their (g, rows, n) stack, its heads of q, k, v and
+    the head outputs, head 0's map (None past group 0) and the maps added after it.
+    """
+    m = q.shape[0]
+    heads, dh, n = f.k3.shape
     # (H, rows, dh) views of q and the head outputs: neither copies
     q3 = q.reshape(m, heads, dh).transpose(1, 0, 2)
     o3 = out_heads.reshape(m, heads, dh).transpose(1, 0, 2)
-    logits = logits.reshape(g * m, n)
-    for h0 in range(0, heads, g):
-        h1 = min(h0 + g, heads)
+    logits = logits.reshape(f.g * m, n)
+    groups = []
+    for h0 in range(0, heads, f.g):
+        h1 = min(h0 + f.g, heads)
         a = logits[: (h1 - h0) * m]
         a3 = a.reshape(h1 - h0, m, n)
-        np.matmul(q3[h0:h1], k3[h0:h1], out=a3)
-        a *= scale
+        maps = tuple(a3)
+        views = (q3[h0:h1], f.k3[h0:h1], f.v3[h0:h1], o3[h0:h1])
+        groups.append((a, a3, *views, *((maps[0], maps[1:]) if h0 == 0 else (None, maps))))
+    return tuple(groups)
+
+
+def _attend_rows(xq, q, out_heads, attn_sum, out, logits, f: _AttendFrame, weights: AttnWeights):
+    """_attend's work for the query rows xq, written into the same rows of the rest.
+
+    The unsplit call reads the frame's head-group views; a row block makes its own.
+    """
+    np.matmul(xq, weights.wq, out=q)
+    groups = f.groups if q is f.q else _head_groups(f, q, out_heads, logits)
+    for a, a3, q3, k3, v3, o3, head0, rest in groups:
+        np.matmul(q3, k3, out=a3)
+        a *= f.scale
         linalg.softmax_rows(a, out=a)
-        np.matmul(a3, v3[h0:h1], out=o3[h0:h1])
+        np.matmul(a3, v3, out=o3)
         # float addition is not associative: heads enter the map one at a time,
         # in order, head 0 copied in (np.sum over the stack: same bits, slower)
-        if h0 == 0:
-            np.copyto(attn_sum, a3[0])
-        for j in range(1 if h0 == 0 else 0, h1 - h0):
-            attn_sum += a3[j]
-    attn_sum /= heads
+        if head0 is not None:
+            np.copyto(attn_sum, head0)
+        for head in rest:
+            attn_sum += head
+    attn_sum /= f.n_heads
     np.matmul(out_heads, weights.wo, out=out)
 
 
@@ -605,15 +648,22 @@ def mlp_forward(
     x, ws = linalg.as_matrix(x), Workspace() if ws is None else ws
     m, d = x.shape
     d2 = weights.w1.shape[1]
-    # the hidden layer shares its workspace memory with the attention logits
-    h = ws.take("logits", m, d2)
-    out = ws.take("out", m, d)
-    _by_rows(flops_mlp(1, d), _mlp_rows, (x, h, out), weights)
+    h, out, row_flops = ws.frame(_mlp_frame, m, d, d2)
+    _by_rows(row_flops, _mlp_rows, (x, h, out), weights)
     if counter is not None:
         counter.matmul(m, d, d2)
         counter.activation(m * d2)
         counter.matmul(m, d2, d)
     return out
+
+
+def _mlp_frame(ws: Workspace, m: int, d: int, d2: int) -> tuple:
+    """mlp_forward's hidden layer, output and per-row FLOPs for m rows of width d."""
+    # the hidden layer shares its workspace memory with the attention logits
+    return ws.take("logits", m, d2), ws.take("out", m, d), flops_mlp(1, d)
+
+
+_mlp_frame.names = ("logits", "out")
 
 
 def _mlp_rows(x, h, out, weights: MlpWeights) -> None:
@@ -650,10 +700,9 @@ class Model:
         if x.grid != cfg.grid or x.hidden != cfg.hidden:
             raise ValueError(f"input {x.values.shape}/{x.grid} does not match model {cfg}")
         cond.validate_for(cfg)
-        emb = timestep_embedding(t, cfg.hidden, cfg.time_scale)
-        stream = np.add(x.values, emb[None, :], out=out)
+        stream = np.add(x.values, _embedding(t, cfg.hidden, cfg.time_scale), out=out)
         if cfg.text_tokens == 0:
-            stream += cond.class_embedding[None, :]
+            stream += cond.class_embedding
         return stream
 
     def _apply(self, layer: int, kind: str, cond: Conditioning, x, rows=None, ws=None):

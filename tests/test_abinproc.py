@@ -1,4 +1,4 @@
-"""tools/abinproc.py on the smoke workload: a copy of the package pairs; a changed init refuses."""
+"""tools/abinproc.py on the smoke workload: a copy of the package pairs; a changed run record refuses."""
 
 import shutil
 import subprocess
@@ -8,12 +8,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _copy(tmp_path: Path, edit=None) -> Path:
-    """A checkout holding a copy of this one's src/, optionally edited by edit(model_source)."""
+def _copy(tmp_path: Path, edit=None, module="model.py") -> Path:
+    """A checkout holding a copy of this one's src/, optionally edited by edit(module_source)."""
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
     if edit is not None:
-        model = tmp_path / "src" / "toca" / "model.py"
-        model.write_text(edit(model.read_text()))
+        path = tmp_path / "src" / "toca" / module
+        path.write_text(edit(path.read_text()))
     return tmp_path
 
 
@@ -27,7 +27,7 @@ def test_a_copy_of_the_package_is_bitwise_equal_and_timed_in_pairs(tmp_path):
     proc = _abinproc(_copy(tmp_path))
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0] == "smoke: x0 bitwise equal at seeds 1, 2, 3"
+    assert lines[0] == "smoke: run record bitwise equal at seeds 1, 2, 3"
     assert "over 4 pairs" in lines[1]
     assert "median paired difference" in lines[2] and lines[2].endswith("/4 pairs")
 
@@ -40,4 +40,16 @@ def test_a_perturbed_weight_init_exits_1_before_timing(tmp_path):
     proc = _abinproc(_copy(tmp_path, perturb))
     assert proc.returncode == 1
     assert proc.stdout == ""
-    assert "smoke: x0 differs at seed 1; not timed" in proc.stderr
+    assert "smoke: run record differs at seed 1; not timed" in proc.stderr
+
+
+def test_a_copy_that_miscounts_cached_dispatches_exits_1_before_timing(tmp_path):
+    """cache_counts feeds no selection, so x0 alone would pass this copy."""
+    def miscount(source: str) -> str:
+        assert source.count("self.cache_counts[h] += 1") == 1
+        return source.replace("self.cache_counts[h] += 1", "self.cache_counts[h] += 2")
+
+    proc = _abinproc(_copy(tmp_path, miscount, "cache.py"))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "smoke: run record differs at seed 1; not timed" in proc.stderr

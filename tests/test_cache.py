@@ -222,6 +222,14 @@ def test_s1_rejects_non_stochastic():
         score_s1(np.array([[0.5, 0.4], [0.5, 0.5]]))
 
 
+def test_s1_rejects_a_nan_row():
+    """A NaN row sum compares False against any bound: the check must still refuse it."""
+    a = np.full((4, 4), 0.25)
+    a[2] = np.nan
+    with pytest.raises(ValueError, match="sum to 1"):
+        score_s1(a)
+
+
 @settings(deadline=None, max_examples=100)
 @given(st.integers(1, 16), st.integers(0, 2**32 - 1), st.floats(0.0, 4.0))
 def test_s1_mass_conservation(n, seed, lam1):

@@ -111,6 +111,19 @@ def test_timestep_embedding_returns_its_own_array_over_read_only_frequencies():
         freqs[0] = 2.0
 
 
+def test_input_stream_reads_a_read_only_embedding_memo():
+    """input_stream adds the memoised embedding, bitwise timestep_embedding's, and none can edit it."""
+    c = cfg(grid_h=3, grid_w=3, time_scale=0.5)
+    model, cond = init_model(c, seed=3, zero_init=True), Conditioning.random_class(c, 4)
+    x = FeatureMatrix(np.random.default_rng(5).normal(size=(9, 8)), c.grid)
+    memo = toca_model._embedding(7.0, c.hidden, c.time_scale)
+    assert memo is toca_model._embedding(7.0, c.hidden, c.time_scale) and not memo.flags.writeable
+    assert memo.tobytes() == timestep_embedding(7.0, c.hidden, c.time_scale).tobytes()
+    want = x.values + timestep_embedding(7.0, c.hidden, c.time_scale)[None, :]
+    want += cond.class_embedding[None, :]
+    assert model.input_stream(x, 7.0, cond).tobytes() == want.tobytes()
+
+
 def test_layer_norm_rows_centers_and_scales():
     out = layer_norm_rows(np.array([[1.0, 3.0], [10.0, 10.0]]))
     assert np.allclose(out[0], [-1.0, 1.0], atol=1e-4)
@@ -634,6 +647,81 @@ def test_mid_mlp_row_blocks_from_the_floor_up_are_the_full_call(monkeypatch):
     assert not np.array_equal(one, full[7:8])
     ulp = np.finfo(np.float64).eps * np.abs(full[7]).max()
     np.testing.assert_allclose(one, full[7:8], rtol=0, atol=ONE_ROW_ULPS * ulp)
+
+
+def _frame_arrays(ws):
+    """(buffer name, array) for every array each of ws's frames holds."""
+    for (build, *_), frame in ws._frames.items():
+        if build is toca_model._mlp_frame:
+            yield from zip(build.names, frame[:2])
+            continue
+        yield from ((name, getattr(frame, name)) for name in build.names)
+        yield from (("k", frame.k3), ("v", frame.v3))
+        for a, a3, q3, k3, v3, o3, head0, rest in frame.groups:
+            yield from (("logits", a), ("logits", a3), ("q", q3), ("k", k3), ("v", v3))
+            yield from (("head_out", o3), *(("logits", h) for h in (head0, *rest) if h is not None))
+
+
+def test_frames_survive_a_shared_regrowing_workspace(monkeypatch):
+    """One workspace serves mixed kernel calls with each call's bits on a fresh workspace.
+
+    A regrown buffer drops exactly the frames that view it, and every array
+    a kept or rebuilt frame holds is a view of the current buffer of its
+    name. Forced row splits read the same frames and give the same bits.
+    """
+    rng = np.random.default_rng(29)
+    d, heads = 16, 4
+    x, text, big = rng.normal(size=(256, d)), rng.normal(size=(5, d)), rng.normal(size=(300, d))
+    attn = AttnWeights(*(rng.normal(size=(d, d)) for _ in range(4)))
+    mlp = MlpWeights(rng.normal(size=(d, 4 * d)), rng.normal(size=(4 * d, d)))
+    rows = [0, 3, 7, 12, 40, 63]
+    calls = {
+        "self": lambda ws: self_attention_forward(x[:64], attn, heads, ws=ws),
+        "self-rows": lambda ws: self_attention_forward(x[:64], attn, heads, rows=rows, ws=ws),
+        "cross": lambda ws: cross_attention_forward(x[:64], text, attn, heads, ws=ws),
+        "mlp-64": lambda ws: mlp_forward(x[:64], mlp, ws=ws),
+        "mlp-12": lambda ws: mlp_forward(x[:12], mlp, ws=ws),
+        "mlp-256": lambda ws: mlp_forward(x, mlp, ws=ws),
+        "cross-more-text": lambda ws: cross_attention_forward(x[:8], big[:80], attn, heads, ws=ws),
+        "self-300": lambda ws: self_attention_forward(big, attn, heads, ws=ws),
+    }
+
+    def outputs(result):
+        return [r.copy() for r in (result if isinstance(result, tuple) else (result,))]
+
+    want = {name: outputs(call(Workspace())) for name, call in calls.items()}
+    ws = Workspace()
+
+    def run(*names):
+        for name in names:
+            got = outputs(calls[name](ws))
+            assert all(np.array_equal(g, w) for g, w in zip(got, want[name])), name
+        for name, arr in _frame_arrays(ws):
+            assert np.shares_memory(arr, ws._bufs[name]), name
+
+    # the 256-row MLP regrows "out" and drops every frame made before it
+    run("self", "self-rows", "cross", "mlp-64", "mlp-12", "mlp-256", "self", "mlp-12", "mlp-64")
+    mlp_keys = {k for k in ws._frames if k[0] is toca_model._mlp_frame}
+    assert len(mlp_keys) == 3
+    before = dict(ws._bufs)
+    run("cross-more-text")  # 80 key rows regrow "k" and "v" only
+    regrown = {name for name, buf in ws._bufs.items() if buf is not before[name]}
+    assert regrown == {"k", "v"}
+    assert mlp_keys <= set(ws._frames)  # frames that view neither stay
+    assert all("k" not in k[0].names or k[1:] == (8, 80, d, heads) for k in ws._frames)
+    before = dict(ws._bufs)
+    run("self-300")
+    regrown = {name for name, buf in ws._bufs.items() if buf is not before[name]}
+    assert {"logits", "out"} <= regrown
+    assert not mlp_keys & set(ws._frames)
+    run(*calls)
+
+    trips, run_halves = [], toca_model.run_halves
+    monkeypatch.setattr(toca_model, "two_cpus", lambda: True)
+    monkeypatch.setattr(toca_model, "_SPLIT_FLOPS", 0)
+    monkeypatch.setattr(toca_model, "run_halves", lambda f: trips.append(1) or run_halves(f))
+    run("self", "mlp-64")
+    assert len(trips) == 2
 
 
 # -- reused buffers and the site hook ---------------------------------------

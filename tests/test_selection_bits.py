@@ -1,9 +1,11 @@
 """The selection path's functions against test-local copies of their plain formulas, bitwise.
 
-score_s3, apply_spatial_boost and select_compute_set run once per partial
-dispatch, so they are written for few NumPy calls. Each copy below is the
-straightforward form of the same arithmetic; the engine's function must
-return the same bits and dtypes, and raise on the same inputs.
+score_s1, score_s3, apply_spatial_boost and select_compute_set run on every
+fresh self-attention or partial dispatch, and model._take_rows on every
+partial module call, so they are written for few NumPy calls and no NumPy
+Python wrappers. Each copy below is the straightforward form of the same
+arithmetic; the engine's function must return the same bits and dtypes,
+and raise on the same inputs.
 """
 
 import numpy as np
@@ -16,9 +18,20 @@ from toca.cache import (
     ComputeMask,
     apply_spatial_boost,
     cache_token_count,
+    score_s1,
     score_s3,
     select_compute_set,
 )
+from toca.model import _take_rows
+
+
+def _score_s1(attn, lam1):
+    a = np.asarray(attn, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValueError("attention map must be 2-D")
+    if not np.abs(a.sum(axis=1) - 1.0).max() <= 1e-6:
+        raise ValueError("attention map rows must sum to 1")
+    return lam1 * a.sum(axis=0)
 
 
 def _score_s3(counters, cycle_len):
@@ -154,3 +167,61 @@ def test_selection_raises_where_its_plain_formula_does():
     scores = np.ones((2, 3))
     assert _outcome(select_compute_set, scores, 0.5) is ValueError
     assert _outcome(_select_compute_set, scores, 0.5) is ValueError
+
+
+def _stochastic(n_rows, n_cols, seed):
+    """A random row-stochastic map, as a softmax leaves it."""
+    return np.random.default_rng(seed).dirichlet(np.ones(n_cols), size=n_rows)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 0.25, 1.0, 3.0]))
+def test_s1_is_lam1_times_the_column_sums(n_rows, n_cols, seed, lam1):
+    a = _stochastic(n_rows, n_cols, seed)
+    _assert_same_bits(score_s1(a, lam1), lam1 * a.sum(axis=0))
+    _assert_same_bits(score_s1(a, lam1), _score_s1(a, lam1))
+
+
+def _off_maps():
+    a = _stochastic(4, 4, 0)
+    drift, nan_row, inf_cell = a.copy(), a.copy(), a.copy()
+    drift[1, 0] += 2e-6
+    nan_row[2] = np.nan
+    inf_cell[0, 3] = np.inf
+    return [drift, nan_row, inf_cell, np.ones(3), np.ones((2, 2, 2)), np.zeros((0, 3)),
+            np.zeros((3, 0)), np.full((4, 4), 0.25) + 1e-7]
+
+
+@pytest.mark.parametrize("attn", _off_maps(), ids=["drift", "nan-row", "inf", "1-d", "3-d",
+                                                   "no-rows", "no-cols", "within-1e-6"])
+def test_s1_raises_where_its_plain_formula_does_and_on_nan_rows(attn):
+    _assert_same_bits(_outcome(score_s1, attn, 1.0), _outcome(_score_s1, attn, 1.0))
+
+
+def test_s1_refuses_a_nan_row_the_old_check_let_through():
+    a = np.full((4, 4), 0.25)
+    a[1] = np.nan
+    assert not np.abs(a.sum(axis=1) - 1.0).max() > 1e-6  # the check as it was: no error
+    assert _outcome(score_s1, a, 1.0) is ValueError
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 20), st.lists(st.integers(-25, 25), max_size=30), st.integers(0, 9))
+def test_take_rows_gathers_x_rows_bitwise_and_raises_out_of_range(n, rows, seed):
+    x = np.random.default_rng(seed).standard_normal((n, 3))
+    out = np.full((len(rows) + 2, 3), np.nan)
+    if all(0 <= r < n for r in rows):
+        got = _take_rows(x, rows, out)
+        assert got.shape == (len(rows), 3) and (not rows or np.shares_memory(got, out))
+        assert got.tobytes() == x[np.asarray(rows, dtype=np.intp)].tobytes()
+    else:
+        with pytest.raises(IndexError):
+            _take_rows(x, rows, out)
+
+
+@pytest.mark.parametrize("rows", [[-1], [0, 5], [2, -3, 1], [np.iinfo(np.intp).min], [5, 0]])
+def test_take_rows_raises_index_error_on_negative_and_too_large_ids(rows):
+    x = np.arange(15.0).reshape(5, 3)
+    with pytest.raises(IndexError, match=r"\[0, 5\)"):
+        _take_rows(x, rows, np.empty((len(rows), 3)))

@@ -9,12 +9,15 @@ comes from the parent's perfbench/workloads.py (WORKLOADS and SMOKE), read
 with tools/digest.py's load_workloads.
 
 First it runs one generation per side at seeds 1, 2 and 3 (model and
-generation seeded alike, as in tools/digest.py) and refuses, with exit 1,
-unless every x0 is bitwise equal. Then pair i runs one timed generation per
-side at seed i + 1, the parent first in even pairs and the change first in
-odd ones (A,B then B,A). It prints each side's median generation time, the
-median of the paired differences (change - parent, also as a share of the
-parent's median) and in how many pairs the change read lower. A timed
+generation seeded alike, as in tools/digest.py) with eps and masks
+recorded, and refuses, with exit 1, unless every run record is bitwise
+equal: x0, every eps, ``cache_counts``, the mask log, the dispatch events
+and the fresh steps, hashed by tools/digest.py's record_digest. Then pair
+i runs one timed generation per side at seed i + 1, the parent first in
+even pairs and the change first in odd ones (A,B then B,A). It prints
+each side's median generation time, the median of the paired differences
+(change - parent, also as a share of the parent's median) and in how many
+pairs the change read lower. A timed
 generation is what perfbench's ``gen_s`` times: the conditioning and
 run_generation with the workload's cache profile, sampler and guidance.
 
@@ -66,15 +69,17 @@ class Side:
         self.model = pkg["model"].init_model(rc.model, seed=rc.init_seed)
         self.ns = pkg["sampler"].NoiseSchedule.linear(rc.steps, rc.beta_start, rc.beta_end)
 
-    def generate(self, seed: int):
-        """x0 of one generation at ``seed``, as perfbench's harness runs it."""
+    def generate(self, seed: int, **record):
+        """(x0, stats) of one generation at ``seed``, as perfbench's harness runs it.
+
+        ``record`` goes to run_generation: collect_eps and record_masks.
+        """
         cfg, rc, tm = self.rc.model, self.rc, self.pkg["model"]
         make = tm.Conditioning.random_text if cfg.text_tokens > 0 else tm.Conditioning.random_class
-        x0, _ = self.pkg["sampler"].run_generation(
+        return self.pkg["sampler"].run_generation(
             self.model, make(cfg, seed), self.ns, cache_schedule=rc.cache, seed=seed,
-            sampler=rc.sampler, guidance=rc.guidance,
+            sampler=rc.sampler, guidance=rc.guidance, **record,
         )
-        return x0.values
 
 
 def timed(side: Side, seed: int) -> float:
@@ -86,7 +91,7 @@ def timed(side: Side, seed: int) -> float:
 def main(argv=None) -> int:
     args = parse_args(argv)
     sys.dont_write_bytecode = True  # nothing under either checkout is written
-    from digest import BLAS_ENV, load_workloads  # this file's directory leads sys.path
+    from digest import BLAS_ENV, load_workloads, record_digest  # this file's directory leads sys.path
 
     for var in BLAS_ENV:  # before NumPy loads
         os.environ[var] = "1"
@@ -95,11 +100,12 @@ def main(argv=None) -> int:
             for side, path in zip(SIDES, (args.parent, args.change))}
 
     for seed in CHECK_SEEDS:
-        x0 = {side: Side(pkgs[side], workload, seed).generate(seed) for side in SIDES}
-        if x0["parent"].tobytes() != x0["change"].tobytes():
-            print(f"{args.workload}: x0 differs at seed {seed}; not timed", file=sys.stderr)
+        sha = {side: record_digest(*Side(pkgs[side], workload, seed).generate(
+            seed, collect_eps=True, record_masks=True)) for side in SIDES}
+        if sha["parent"] != sha["change"]:
+            print(f"{args.workload}: run record differs at seed {seed}; not timed", file=sys.stderr)
             return 1
-    print(f"{args.workload}: x0 bitwise equal at seeds {', '.join(map(str, CHECK_SEEDS))}")
+    print(f"{args.workload}: run record bitwise equal at seeds {', '.join(map(str, CHECK_SEEDS))}")
 
     sides = {side: Side(pkgs[side], workload, 1) for side in SIDES}
     walls = []  # (parent, change) seconds per pair

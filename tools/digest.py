@@ -73,6 +73,14 @@ def run_digest(workload, seed: int, cached: bool) -> tuple[str, int]:
         )
     finally:
         tm.run_halves = run_halves
+    return record_digest(x0, stats), len(splits)
+
+
+def record_digest(x0, stats) -> str:
+    """sha256 of one generation's run record: x0, every eps, cache_counts, masks, events, fresh steps.
+
+    ``stats`` comes from run_generation with collect_eps=True and record_masks=True.
+    """
     h = hashlib.sha256(x0.values.tobytes())
     for eps in stats.eps_history:
         h.update(eps.tobytes())
@@ -83,7 +91,7 @@ def run_digest(workload, seed: int, cached: bool) -> tuple[str, int]:
             h.update(ids.tobytes())
     h.update(repr([dataclasses.astuple(e) for e in stats.events]).encode())
     h.update(repr(stats.fresh_steps).encode())
-    return h.hexdigest(), len(splits)
+    return h.hexdigest()
 
 
 def with_mode(mode: str, fn):
