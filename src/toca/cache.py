@@ -517,12 +517,12 @@ class CacheContext:
 
         xs[h] is half h's raw residual stream. fns[h](x, rows=None) runs the
         module for half h on all tokens, or on the given query rows, and
-        returns (output, attention map or None); it normalises only the rows
-        the module reads, and a dispatch that caches every token never calls
-        it. Every dispatch caches its plan event's floor(r_eff * N)
-        lowest-scoring tokens (score) and computes the rest; fresh steps have
-        r_eff = 0, and coupled guidance halves share the mask of their summed
-        scores. A site's first dispatch must cache nothing; it makes the
+        returns (output, attention map or None) (model.Model._apply); a
+        dispatch that caches every token never calls it. Every dispatch
+        caches its plan event's floor(r_eff * N) lowest-scoring tokens
+        (score) and computes the rest; fresh steps have r_eff = 0, and
+        coupled guidance halves share the mask of their summed scores. A
+        site's first dispatch must cache nothing; it makes the
         site's slots and counters here, on the calling thread. A dispatch
         whose module call raises drops them for every half, so the site's
         next dispatch must again cache nothing. A dispatch that caches
@@ -530,11 +530,6 @@ class CacheContext:
         and refreshes the score aggregates score reads; any other splices
         fresh rows into the slot and ages the cached ones.
         Returns the slots, the module outputs until the site's next dispatch.
-
-        Once the masks are chosen, model.each_half serves the halves, given
-        the rows each computes: it may run half 1's share on the model's
-        worker thread while half 0's runs here, and dispatch returns after
-        both. How a module call runs is the model's affair.
         """
         if self.step is None:
             raise RuntimeError("begin_step must be called before dispatch")

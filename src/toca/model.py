@@ -210,18 +210,11 @@ def timestep_embedding(t: float, dim: int, scale: float = 1.0) -> np.ndarray:
     """Sinusoidal embedding of the diffusion timestep, length ``dim``; a new array."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    angles = float(t) * _frequencies(dim)
-    emb = np.concatenate([np.sin(angles), np.cos(angles)])[:dim]
-    return scale * emb
-
-
-@functools.cache
-def _frequencies(dim: int) -> np.ndarray:
-    """timestep_embedding's (dim + 1) // 2 frequencies, made once per dim and read-only."""
     half = (dim + 1) // 2
     freqs = np.exp(-math.log(10000.0) * np.arange(half) / (half - 1)) if half > 1 else np.ones(1)
-    freqs.flags.writeable = False
-    return freqs
+    angles = float(t) * freqs
+    emb = np.concatenate([np.sin(angles), np.cos(angles)])[:dim]
+    return scale * emb
 
 
 @functools.lru_cache(maxsize=1024)
@@ -232,7 +225,7 @@ def _embedding(t: float, dim: int, scale: float) -> np.ndarray:
 
 
 class Workspace:
-    """Named float64 buffers that a forward reuses from call to call.
+    """Named float64 buffers that a forward reuses from call to call: the buffer rule.
 
     ``take(name, m, n)`` returns a C-contiguous (m, n) view of the start of
     the one flat buffer kept under ``name``, allocated on first use and
@@ -241,13 +234,17 @@ class Workspace:
     256 x 16 cross-attention map, or the attention logits and the MLP hidden
     layer, which are never live together. The next take of a name overwrites
     what a view holds, so callers copy what they keep. ``frame`` keeps a
-    kernel's per-shape views the same way. run_generation builds one per
-    run. No thread owns one; one thread at a time takes from it. A
-    forward keeps each member's residual stream in it, and ``member(h)``
-    holds member h's scratch: the layer norm, intermediates and output of
-    every module call of that member, on whichever thread runs the call. A
-    member's output stays valid until that member's next module call on the
-    same workspace, so no run overwrites another run's scratch.
+    kernel's per-shape views the same way.
+
+    run_generation builds one per run. A forward keeps each member's
+    residual stream in it, and ``member(h)`` holds member h's scratch: the
+    layer norm, intermediates and output of every module call of that
+    member. No thread owns a buffer: a call takes from the scratch of the
+    member it serves, on whichever thread runs it, and a row block split off
+    a call (_by_rows) writes only its rows of buffers the calling thread
+    took. A member's output stays valid until that member's next module call
+    on the same workspace, so no run overwrites another run's scratch, and
+    cache contexts, which copy what they keep, may share one workspace.
     """
 
     def __init__(self) -> None:
@@ -283,8 +280,8 @@ class Workspace:
         return frame
 
 
-# The one worker thread that runs the second half of a split (an executor that
-# owns no buffer), and the lock a split holds while it uses it; see run_halves
+# The one worker thread that runs the second half of a split, and the lock a
+# split holds while it uses it; see run_halves
 _worker = None
 _worker_lock = threading.Lock()
 
@@ -326,10 +323,12 @@ def _split_pays(flops: int) -> bool:
 
     Yes when that half executes at least _SPLIT_FLOPS, no other split holds
     the worker (_worker_lock), and the process may use two CPUs. So a half of
-    a split never splits again, on either thread. The rule has two modes: a
-    guided pair splits into its halves (each_half), and a call splits its
-    query rows into two blocks (_by_rows). Both are evaluated where the split
-    happens.
+    a split never splits again, on either thread. The rule has two modes,
+    each evaluated where its split happens: a guided pair splits into its
+    halves (each_half), and an attention or MLP call splits its query rows
+    into two blocks (_by_rows). A value is computed by the same arithmetic on
+    either thread, so no output bit depends on the worker, and a cache
+    context sees neither mode.
 
     A split costs a thread round trip of about 20 us, and the halves share
     the GIL: the NumPy calls of small modules mostly hold it, so only calls
@@ -367,10 +366,7 @@ def run_halves(work) -> None:
     have stopped. A caller that finds the lock held (a half of a split, on
     either thread, or another run's thread) runs work(0) and then work(1)
     itself. Either way it returns only after both halves have stopped; an
-    error of either half then propagates, half 0's first. The worker owns no
-    buffer: a pair's half 1 computes in member 1's scratch of the caller's
-    Workspace (each_half), and a row block writes its rows of buffers the
-    caller took (_by_rows).
+    error of either half then propagates, half 0's first.
     """
     global _worker
     lock = _worker_lock
@@ -405,7 +401,7 @@ def _current_cpu() -> int | None:
 
 
 def _start_worker(caller_cpu: int | None) -> None:
-    """Worker initializer: a start off the caller's CPU; the worker owns no buffer.
+    """Worker initializer: a start off the caller's CPU.
 
     On the 2-vCPU VM this was measured on, the kernel often started the
     worker on its creator's CPU and never moved it: both halves then shared
@@ -514,12 +510,10 @@ def _attend(xq, kv, weights: AttnWeights, heads: int, counter: FlopCounter | Non
     0..H-1. Returns the projected output (m, d) and the head-averaged
     attention map (m, n), both in ``ws``, like every intermediate.
 
-    Keys and values are projected here, once; the query rows then run as
-    one block or, under the worker rule's row mode, as two (_by_rows), each
-    on its own rows of q, the head outputs, the map and the output, and with
-    its own logits stack in its rows of one (m, g * n) buffer. This thread
-    takes every buffer and view, from ws's frame for the shape, and a block's
-    FLOPs leave out the key/value projections: they are linear in its rows.
+    Keys and values are projected here, once; the query rows then run
+    through _by_rows, a row block with its own logits stack in its rows of
+    one (m, g * n) buffer. A block's FLOPs leave out the key/value
+    projections: they are linear in its rows.
     """
     m, d = xq.shape
     n = kv.shape[0]
@@ -601,9 +595,8 @@ def self_attention_forward(
     come from the whole stream: the one kernel whose keys span more rows
     than its queries, so the only one that takes row ids. Returns the module
     output together with the head-averaged attention map (rows = queries,
-    columns = tokens). The output, the map and every intermediate go to
-    ``ws``, or to a workspace made for the call. A call large enough may run
-    its query rows as two blocks on two threads (_attend).
+    columns = tokens). Buffers come from ``ws``, or a workspace made for the
+    call.
     """
     x, ws = linalg.as_matrix(x), Workspace() if ws is None else ws
     xq = x if rows is None else _take_rows(x, rows, ws.take("rows", len(rows), x.shape[1]))
@@ -620,7 +613,7 @@ def cross_attention_forward(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Attention of every row of x (a partial call's rows only) against text keys/values.
 
-    Buffers and the row split as in self_attention_forward.
+    Buffers as in self_attention_forward.
     """
     x = linalg.as_matrix(x)
     if text is None:
@@ -641,29 +634,19 @@ def mlp_forward(
 ) -> np.ndarray:
     """Token-wise two-layer MLP with a ReLU between the projections, on every row of x.
 
-    The output and the hidden layer go to ``ws`` (or a workspace made for the
-    call). A call large enough may run its rows as two blocks on two threads
-    (_by_rows), each on its own rows of the hidden layer and the output.
+    Buffers as in self_attention_forward; the rows run through _by_rows.
     """
     x, ws = linalg.as_matrix(x), Workspace() if ws is None else ws
     m, d = x.shape
     d2 = weights.w1.shape[1]
-    h, out, row_flops = ws.frame(_mlp_frame, m, d, d2)
-    _by_rows(row_flops, _mlp_rows, (x, h, out), weights)
+    # the hidden layer shares its workspace memory with the attention logits
+    h, out = ws.take("logits", m, d2), ws.take("out", m, d)
+    _by_rows(flops_mlp(1, d), _mlp_rows, (x, h, out), weights)
     if counter is not None:
         counter.matmul(m, d, d2)
         counter.activation(m * d2)
         counter.matmul(m, d2, d)
     return out
-
-
-def _mlp_frame(ws: Workspace, m: int, d: int, d2: int) -> tuple:
-    """mlp_forward's hidden layer, output and per-row FLOPs for m rows of width d."""
-    # the hidden layer shares its workspace memory with the attention logits
-    return ws.take("logits", m, d2), ws.take("out", m, d), flops_mlp(1, d)
-
-
-_mlp_frame.names = ("logits", "out")
 
 
 def _mlp_rows(x, h, out, weights: MlpWeights) -> None:
@@ -708,14 +691,16 @@ class Model:
     def _apply(self, layer: int, kind: str, cond: Conditioning, x, rows=None, ws=None):
         """One module on the raw residual stream x: (output, attention map or None).
 
-        ``rows``, when given, are the query rows the call computes.
-        Self-attention normalises all N rows, since its keys and values span
-        the stream, and takes the row ids; any other kind gathers the rows
-        into ws's "normed", normalises them there, and sees nothing else.
-        The head reads the raw stream. The output and every intermediate go
-        to ``ws``, the scratch of the member the call serves (a workspace made
-        for the call without one). An attention or MLP kernel decides its own
-        row split (_by_rows); the head has none.
+        The normalisation rule: ``rows``, when given, are the query rows the
+        call computes. Self-attention normalises all N rows, since its keys
+        and values span the stream, and takes the row ids; any other kind
+        gathers the rows into ws's "normed", normalises them there, and sees
+        nothing else. The head reads the raw stream. A dispatch that reuses
+        every token makes no call, so it normalises nothing. Row subsets of a
+        layer norm, and of a module call on _SPLIT_MIN_ROWS rows or more, are
+        bitwise those rows of the full call; fewer may differ in the last bit
+        (_by_rows). Buffers come from ``ws``, the scratch of the member the
+        call serves, or a workspace made for the call.
         """
         ws = Workspace() if ws is None else ws
         if rows is not None and kind != KIND_SELF:
@@ -758,66 +743,35 @@ class Model:
         ws: Workspace | None = None,
         site_hook=None,
     ) -> list[FeatureMatrix]:
-        """Run the denoiser on one or more streams in lockstep.
+        """Run the denoiser on one or more streams in lockstep: one new noise prediction each.
 
-        Lockstep batching is what lets a cache context coordinate token
-        selection across the halves of a guidance pair.
+        Lockstep batching lets a cache context coordinate token selection
+        across the halves of a guidance pair. Pass the same ``ws`` on every
+        step of a trajectory so steps reuse its buffers (a new one is made
+        per call otherwise); Workspace states what a forward keeps there.
 
-        Per member h, the forward keeps only its residual stream in ``ws``;
-        pass the same workspace on every step of a trajectory so steps reuse
-        its buffers (a new one is made per call otherwise). Every other
-        buffer a module call of member h touches, its layer norm and output
-        included, is in ``ws.member(h)``, which its module callable passes
-        to _apply, on whichever thread runs the call. The output stays
-        valid until member h's next module call: under a context, the
-        context copies it into the slot it owns. Then one loop on this
-        thread adds each member's output (the slot, or the scratch output
-        without a context) into its stream, or, at the head, copies it into
-        the returned prediction. No buffer of ``ws`` outlives a forward, so
-        contexts may share one.
-
-        One rule, _split_pays, decides which module calls use the worker
-        thread, in two modes, each evaluated where its split happens. Pair
-        mode: each_half, called here without a context and from the
-        context's dispatch under one, runs a pair's second half there while
-        the first runs here; half 1's layer norm, module call and, under a
-        context, the copy into its slot then run on the worker, in
-        ``ws.member(1)``. Row mode: an attention or MLP kernel runs
-        a call large enough as two row blocks (_by_rows), the second there,
-        into its rows of the member's buffers, which the calling thread
-        took; the layer norm and the output's use stay on that thread. A
-        split holds the worker until both halves stop, so a half of a pair
-        never splits its rows. A cache context sees neither mode: it calls
-        fns[h](x, rows=None). Each value is computed by the same arithmetic
-        on either thread, so no output bit depends on the worker.
-
-        Member h's module callable, made once per forward, calls _apply for
-        the site the loop is at, with conds[h] and ws.member(h), on the raw
-        residual stream; no closure is built per module call. Under a context,
-        each dispatch gets the raw streams, and _apply normalises only the
-        rows the module reads: all N for self-attention, whose keys and
-        values span the stream, the computed rows for cross-attention and
-        the MLP, none for the head, and none at all when the dispatch reuses
-        every token. Row subsets of a layer norm, and of a module call on at
-        least _SPLIT_MIN_ROWS (16) rows, are bitwise those rows of the full
-        call. Fewer rows may differ in the last bit: one row always (NumPy's
-        matrix-vector path), and 2-15 rows where OpenBLAS's product for few
-        rows differs, as at the mid MLP's 512 -> 128 projection.
-        Without a context every module but the head reads the normed stream.
+        ``cache_ctx``, when given, has ``batch`` (the number of streams),
+        ``config`` (this model's) and ``dispatch(layer, kind, streams, fns)``,
+        called at every site of ``config.sites`` with the raw residual
+        streams and member h's module callable fns[h](x, rows=None), which
+        runs _apply at that site; dispatch returns each member's module
+        output. Without a context each member runs every module on all rows
+        (each_half). _split_pays decides which calls use the worker thread.
 
         ``site_hook``, when given, is called as
         ``site_hook(layer, kind, streams)`` right before every module of
         ``config.sites``, the head included, with the live per-stream
         residual streams, cached or not: it may read them, or edit them in
         place to perturb what the module and everything after it see. The
-        streams are reused buffers, so a hook copies what it keeps. Returns
-        one newly allocated noise prediction per stream.
+        streams are reused buffers, so a hook copies what it keeps.
         """
         cfg = self.config
         if len(xs) != len(conds) or not xs:
             raise ValueError("need one conditioning per input")
         if cache_ctx is not None and cache_ctx.batch != len(xs):
             raise ValueError(f"cache context batch {cache_ctx.batch} != {len(xs)} inputs")
+        if cache_ctx is not None and cache_ctx.config != cfg:
+            raise ValueError(f"cache context built for {cache_ctx.config}, not this model's {cfg}")
         ws = Workspace() if ws is None else ws
         n, d = cfg.n_tokens, cfg.hidden
         halves = range(len(xs))
@@ -826,8 +780,7 @@ class Model:
             self.input_stream(xs[h], t, conds[h], out=streams[h])
 
         apply, outs = self._apply, [None] * len(xs)
-        # member h's module callable, made once per forward: it runs the site
-        # the loop below is at, in member h's scratch
+        # member h's module callable runs the site the loop below is at
         fns = [
             lambda x, rows=None, cond=conds[h], s=ws.member(h): apply(layer, kind, cond, x, rows, s)
             for h in halves

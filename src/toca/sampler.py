@@ -177,7 +177,7 @@ def run_generation(
     them. They are reused buffers, so it copies what it keeps. One Workspace
     serves every step, so steps reuse the forward's buffers. The model
     decides which of its module calls use its worker thread (see
-    Model.forward_batch). The blend and the sampler step stay on this
+    model._split_pays). The blend and the sampler step stay on this
     thread, and hooks run here too.
     """
     if sampler not in SAMPLERS:

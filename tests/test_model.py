@@ -104,11 +104,6 @@ def test_timestep_embedding_returns_its_own_array_over_read_only_frequencies():
     first = timestep_embedding(5.0, 9)
     first[:] = np.nan  # a caller's edit reaches no later call
     assert timestep_embedding(5.0, 9).tobytes() == _plain_timestep_embedding(5.0, 9).tobytes()
-    freqs = toca_model._frequencies(9)
-    assert freqs is toca_model._frequencies(9)  # made once per dim
-    assert not freqs.flags.writeable
-    with pytest.raises(ValueError):
-        freqs[0] = 2.0
 
 
 def test_input_stream_reads_a_read_only_embedding_memo():
@@ -565,6 +560,23 @@ def test_forward_batch_lockstep_matches_separate():
     assert np.array_equal(both[0].values, sep_b.values)
 
 
+@pytest.mark.parametrize("ctx_config", [
+    ModelConfig(depth=1, hidden=8, heads=2, grid_h=4, grid_w=16),  # same N and hidden, other grid
+    ModelConfig(depth=1, hidden=8, heads=4, grid_h=8, grid_w=8),  # other heads: other flops shares
+], ids=["grid", "heads"])
+def test_forward_batch_rejects_a_context_built_for_another_config(ctx_config):
+    c = ModelConfig(depth=1, hidden=8, heads=2, grid_h=8, grid_w=8)
+    model, cond = init_model(c, seed=1), Conditioning.random_class(c, 2)
+    x = FeatureMatrix(np.random.default_rng(3).normal(size=(64, 8)), c.grid)
+    ctx = CacheContext(PROFILES["toca-pixart"], ctx_config, 4)
+    ctx.begin_step(0)
+    with pytest.raises(ValueError, match="cache context built for"):
+        model.forward(x, 4.0, cond, cache_ctx=ctx)
+    ctx = CacheContext(PROFILES["toca-pixart"], ModelConfig(1, 8, 2, 8, 8), 4)  # equal to c, not c
+    ctx.begin_step(0)
+    assert np.isfinite(model.forward(x, 4.0, cond, cache_ctx=ctx).values).all()
+
+
 # -- the module callables a cache context runs -------------------------------
 
 # A one-row call may differ from its row of the full call in the last bits
@@ -580,8 +592,8 @@ class _CheckingContext:
     and serves the full outputs, so the forward runs as without a cache.
     """
 
-    def __init__(self, batch, subsets):
-        self.batch, self.subsets, self.pairs = batch, subsets, []
+    def __init__(self, config, batch, subsets):
+        self.config, self.batch, self.subsets, self.pairs = config, batch, subsets, []
 
     def dispatch(self, layer, kind, xs, fns):
         outs = []
@@ -604,7 +616,7 @@ def test_module_callables_gather_what_the_full_call_computes(text):
     x = FeatureMatrix(np.random.default_rng(5).normal(size=(16, 16)), c.grid)
     multi = [np.array([0, 5, 6, 11]), np.array([3, 9]), np.array([1, 2, 7, 8, 13, 14, 15])]
     one = [np.array([7]), np.array([15])]
-    ctx = _CheckingContext(2, multi + one)
+    ctx = _CheckingContext(c, 2, multi + one)
     want = model.forward_batch([x, x], 5.0, [Conditioning.null_for(c), cond])
     got = model.forward_batch([x, x], 5.0, [Conditioning.null_for(c), cond], cache_ctx=ctx)
     assert all(np.array_equal(a.values, b.values) for a, b in zip(got, want))
@@ -652,9 +664,6 @@ def test_mid_mlp_row_blocks_from_the_floor_up_are_the_full_call(monkeypatch):
 def _frame_arrays(ws):
     """(buffer name, array) for every array each of ws's frames holds."""
     for (build, *_), frame in ws._frames.items():
-        if build is toca_model._mlp_frame:
-            yield from zip(build.names, frame[:2])
-            continue
         yield from ((name, getattr(frame, name)) for name in build.names)
         yield from (("k", frame.k3), ("v", frame.v3))
         for a, a3, q3, k3, v3, o3, head0, rest in frame.groups:
@@ -699,21 +708,27 @@ def test_frames_survive_a_shared_regrowing_workspace(monkeypatch):
         for name, arr in _frame_arrays(ws):
             assert np.shares_memory(arr, ws._bufs[name]), name
 
+    def mlp_in_current_buffers():
+        for m in (12, 64):
+            out = mlp_forward(x[:m], mlp, ws=ws)
+            assert np.shares_memory(out, ws._bufs["out"]), m
+            hidden = ws._views["logits", m, 4 * d]  # the view the call took for its hidden layer
+            assert np.shares_memory(hidden, ws._bufs["logits"]), m
+
     # the 256-row MLP regrows "out" and drops every frame made before it
     run("self", "self-rows", "cross", "mlp-64", "mlp-12", "mlp-256", "self", "mlp-12", "mlp-64")
-    mlp_keys = {k for k in ws._frames if k[0] is toca_model._mlp_frame}
-    assert len(mlp_keys) == 3
+    mlp_in_current_buffers()
     before = dict(ws._bufs)
     run("cross-more-text")  # 80 key rows regrow "k" and "v" only
     regrown = {name for name, buf in ws._bufs.items() if buf is not before[name]}
     assert regrown == {"k", "v"}
-    assert mlp_keys <= set(ws._frames)  # frames that view neither stay
     assert all("k" not in k[0].names or k[1:] == (8, 80, d, heads) for k in ws._frames)
+    mlp_in_current_buffers()
     before = dict(ws._bufs)
     run("self-300")
     regrown = {name for name, buf in ws._bufs.items() if buf is not before[name]}
     assert {"logits", "out"} <= regrown
-    assert not mlp_keys & set(ws._frames)
+    mlp_in_current_buffers()
     run(*calls)
 
     trips, run_halves = [], toca_model.run_halves

@@ -461,8 +461,8 @@ class _OneSite:
 
     batch = 1
 
-    def __init__(self, kind, rows):
-        self.kind, self.rows = kind, rows
+    def __init__(self, config, kind, rows):
+        self.config, self.kind, self.rows = config, kind, rows
 
     def dispatch(self, layer, kind, xs, fns):
         if kind == self.kind:
@@ -484,7 +484,7 @@ def test_a_batch_one_call_splits_its_rows_from_the_memo_up(monkeypatch):
              for d in (-1, 0)]
     for kind, rows, want in cases + [(KIND_FINAL, c.n_tokens, False)]:
         trips.clear()
-        model.forward_batch([x], 1.0, [cond], cache_ctx=_OneSite(kind, rows))
+        model.forward_batch([x], 1.0, [cond], cache_ctx=_OneSite(c, kind, rows))
         assert bool(trips) == want, (kind, rows)
     assert len(asked) == 2  # only the calls whose blocks pay ask for two CPUs
 

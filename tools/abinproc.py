@@ -6,7 +6,8 @@ Loads PARENT_DIR/src/toca and CHANGE_DIR/src/toca as two distinct packages
 (``toca_parent`` and ``toca_change``) in one process, so that both sides
 meet the same host state from one generation to the next. The workload
 comes from the parent's perfbench/workloads.py (WORKLOADS and SMOKE), read
-with tools/digest.py's load_workloads.
+with tools/digest.py's load_workloads, and each side generates through
+tools/digest.py's Side.
 
 First it runs one generation per side at seeds 1, 2 and 3 (model and
 generation seeded alike, as in tools/digest.py) with eps and masks
@@ -60,29 +61,7 @@ def load_package(checkout: Path, name: str) -> dict:
     return {sub: importlib.import_module(f"{name}.{sub}") for sub in ("config", "model", "sampler")}
 
 
-class Side:
-    """One package's model for one workload, and a generation on it."""
-
-    def __init__(self, pkg: dict, workload, init_seed: int):
-        self.pkg = pkg
-        self.rc = rc = pkg["config"].parse_config_string(workload.config_text(init_seed))
-        self.model = pkg["model"].init_model(rc.model, seed=rc.init_seed)
-        self.ns = pkg["sampler"].NoiseSchedule.linear(rc.steps, rc.beta_start, rc.beta_end)
-
-    def generate(self, seed: int, **record):
-        """(x0, stats) of one generation at ``seed``, as perfbench's harness runs it.
-
-        ``record`` goes to run_generation: collect_eps and record_masks.
-        """
-        cfg, rc, tm = self.rc.model, self.rc, self.pkg["model"]
-        make = tm.Conditioning.random_text if cfg.text_tokens > 0 else tm.Conditioning.random_class
-        return self.pkg["sampler"].run_generation(
-            self.model, make(cfg, seed), self.ns, cache_schedule=rc.cache, seed=seed,
-            sampler=rc.sampler, guidance=rc.guidance, **record,
-        )
-
-
-def timed(side: Side, seed: int) -> float:
+def timed(side, seed: int) -> float:
     t0 = perf_counter()
     side.generate(seed)
     return perf_counter() - t0
@@ -91,7 +70,8 @@ def timed(side: Side, seed: int) -> float:
 def main(argv=None) -> int:
     args = parse_args(argv)
     sys.dont_write_bytecode = True  # nothing under either checkout is written
-    from digest import BLAS_ENV, load_workloads, record_digest  # this file's directory leads sys.path
+    # this file's directory leads sys.path
+    from digest import BLAS_ENV, Side, load_workloads, record_digest
 
     for var in BLAS_ENV:  # before NumPy loads
         os.environ[var] = "1"

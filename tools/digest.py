@@ -53,24 +53,43 @@ def load_workloads(checkout: Path) -> dict:
     return {**mod.WORKLOADS, mod.SMOKE.name: mod.SMOKE}
 
 
+class Side:
+    """One package's model for one workload, and generations on it as perfbench's harness runs them.
+
+    ``pkg`` maps "config", "model" and "sampler" to that package's modules.
+    The workload's config is parsed at ``init_seed``, which seeds the model.
+    ``cached`` False runs without a cache.
+    """
+
+    def __init__(self, pkg: dict, workload, init_seed: int, cached: bool = True):
+        self.pkg, self.cached = pkg, cached
+        self.rc = rc = pkg["config"].parse_config_string(workload.config_text(init_seed))
+        self.model = pkg["model"].init_model(rc.model, seed=rc.init_seed)
+        self.ns = pkg["sampler"].NoiseSchedule.linear(rc.steps, rc.beta_start, rc.beta_end)
+
+    def generate(self, seed: int, **record):
+        """(x0, stats) of one generation at ``seed``: the conditioning, then run_generation.
+
+        ``record`` goes to run_generation: collect_eps and record_masks.
+        """
+        cfg, rc, tm = self.rc.model, self.rc, self.pkg["model"]
+        make = tm.Conditioning.random_text if cfg.text_tokens > 0 else tm.Conditioning.random_class
+        return self.pkg["sampler"].run_generation(
+            self.model, make(cfg, seed), self.ns, cache_schedule=rc.cache if self.cached else None,
+            seed=seed, sampler=rc.sampler, guidance=rc.guidance, **record,
+        )
+
+
 def run_digest(workload, seed: int, cached: bool) -> tuple[str, int]:
     """(sha256 of everything one generation leaves behind, thread splits it asked for)."""
-    from toca import config
+    from toca import config, sampler
     from toca import model as tm
-    from toca.sampler import NoiseSchedule, run_generation
 
-    rc = config.parse_config_string(workload.config_text(seed))
-    model = tm.init_model(rc.model, seed=rc.init_seed)
-    cfg = rc.model
-    make = tm.Conditioning.random_text if cfg.text_tokens > 0 else tm.Conditioning.random_class
+    side = Side({"config": config, "model": tm, "sampler": sampler}, workload, seed, cached)
     splits, run_halves = [], tm.run_halves
     tm.run_halves = lambda work: splits.append(1) or run_halves(work)
     try:
-        x0, stats = run_generation(
-            model, make(cfg, seed), NoiseSchedule.linear(rc.steps, rc.beta_start, rc.beta_end),
-            cache_schedule=rc.cache if cached else None, seed=seed, sampler=rc.sampler,
-            guidance=rc.guidance, collect_eps=True, record_masks=True,
-        )
+        x0, stats = side.generate(seed, collect_eps=True, record_masks=True)
     finally:
         tm.run_halves = run_halves
     return record_digest(x0, stats), len(splits)
